@@ -167,7 +167,7 @@ int main() {
     {
       const int kMissProbes = 2000;
       std::string v;
-      uint64_t runs_before = tree->stats().read_run_probes.load();
+      uint64_t runs_before = tree->stats().read.run_probes.load();
       auto before = ws.stats()->snapshot();
       for (int i = 0; i < kMissProbes; i++) {
         engine->Get(FormatKey(kRecords + 1000000 + i, true), &v)
@@ -177,7 +177,7 @@ int main() {
       r.read_seeks_per_read =
           static_cast<double>(io.read_seeks) / kMissProbes;
       r.read_runs_per_read =
-          static_cast<double>(tree->stats().read_run_probes.load() -
+          static_cast<double>(tree->stats().read.run_probes.load() -
                               runs_before) /
           kMissProbes;
     }

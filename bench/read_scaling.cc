@@ -26,7 +26,7 @@ using namespace blsm;
 using namespace blsm::bench;
 using namespace blsm::ycsb;
 
-struct ReadRun {
+struct ReaderRun {
   uint64_t ops = 0;
   uint64_t errors = 0;
   double elapsed_seconds = 0;
@@ -40,7 +40,7 @@ struct ReadRun {
 // Runs `total_ops` uniform point lookups split across `threads` readers;
 // `batch` = 1 issues Get, > 1 issues MultiGet over `batch` keys (each key
 // still counts as one op, so ops/s is comparable across shapes).
-ReadRun RunReaders(kv::Engine* engine, int threads, uint64_t batch,
+ReaderRun RunReaders(kv::Engine* engine, int threads, uint64_t batch,
                    uint64_t total_ops, uint64_t record_count) {
   std::atomic<uint64_t> ops{0};
   std::atomic<uint64_t> errors{0};
@@ -81,7 +81,7 @@ ReadRun RunReaders(kv::Engine* engine, int threads, uint64_t batch,
   }
   for (auto& w : workers) w.join();
   auto end = std::chrono::steady_clock::now();
-  ReadRun result;
+  ReaderRun result;
   result.ops = ops.load();
   result.errors = errors.load();
   result.elapsed_seconds =
@@ -153,7 +153,7 @@ int main() {
                   "reopen engine cold");
         }
 
-        ReadRun result = RunReaders(engine.get(), threads, shape.batch,
+        ReaderRun result = RunReaders(engine.get(), threads, shape.batch,
                                     kReadOps, kRecords);
         if (threads == 1) one_thread_ops = result.OpsPerSecond();
         double speedup = one_thread_ops > 0

@@ -71,6 +71,7 @@ int main() {
 
   Workspace ws("table1");
   ycsb::ValueGenerator values(7);
+  JsonReport report("table1_operation_seeks");
 
   // --- engines, loaded identically -----------------------------------------
   // Caches are sized well below the dataset (the paper's regime: data does
@@ -195,6 +196,14 @@ int main() {
     printf("%-14s %10.2f %10.2f %10.2f %10.2f %12.2f %12.2f\n", name,
            costs.lookup, costs.rmw, costs.delta, costs.insert,
            costs.short_scan, costs.long_scan);
+    report.AddRow()
+        .Str("engine", name)
+        .Num("lookup_seeks_per_op", costs.lookup)
+        .Num("rmw_seeks_per_op", costs.rmw)
+        .Num("delta_seeks_per_op", costs.delta)
+        .Num("insert_seeks_per_op", costs.insert)
+        .Num("short_scan_seeks_per_op", costs.short_scan)
+        .Num("long_scan_seeks_per_op", costs.long_scan);
   };
 
   printf("\n%-14s %10s %10s %10s %10s %12s %12s\n", "engine", "lookup", "RMW",

@@ -92,9 +92,9 @@ int main(int argc, char** argv) {
   const BlsmStats& stats = tree->stats();
   printf("stats: %" PRIu64 " puts, %" PRIu64 " gets, %" PRIu64
          " merge passes, %" PRIu64 " bloom skips\n",
-         stats.puts.load(), stats.gets.load(),
+         stats.puts.load(), stats.read.gets.load(),
          stats.merge1_passes.load() + stats.merge2_passes.load(),
-         stats.bloom_skips.load());
+         stats.read.bloom_skips.load());
   printf("done. run again to see recovery pick the data back up.\n");
   return 0;
 }

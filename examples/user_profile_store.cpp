@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
   printf("  read latency:  %s\n", read_lat.ToString().c_str());
   printf("  write latency: %s\n", write_lat.ToString().c_str());
   printf("  bloom filter skips: %" PRIu64 " component probes avoided\n",
-         tree->stats().bloom_skips.load());
+         tree->stats().read.bloom_skips.load());
 
   // Short scans power "list my friends"-style pages (§3.3).
   std::vector<std::pair<std::string, std::string>> page;

@@ -47,6 +47,18 @@ void AddIoStats(const EnvIoCounters* io,
       io != nullptr ? io->direct_write_fallbacks.load() : 0;
 }
 
+// Shared read-path key block: both LSM engines fill the same ReadStats
+// through the one ReadPath, so every key means the same in each.
+void AddReadStats(const ReadStats& read,
+                  std::map<std::string, uint64_t>* stats) {
+  (*stats)["gets"] = read.gets.load();
+  (*stats)["bloom_skips"] = read.bloom_skips.load();
+  (*stats)["read.views_pinned"] = read.views_pinned.load();
+  (*stats)["read.multiget_batches"] = read.multiget_batches.load();
+  (*stats)["read.run_probes"] = read.run_probes.load();
+  (*stats)["read.blocks_coalesced"] = read.blocks_coalesced.load();
+}
+
 // --- adapters ---------------------------------------------------------------
 
 // Each adapter optionally owns the tree (registry opens) or borrows it
@@ -95,11 +107,9 @@ class BlsmEngine : public Engine {
     const LogicalLog::Counters wal = tree_->WalCounters();
     std::map<std::string, uint64_t> stats = {
         {"puts", s.puts.load()},
-        {"gets", s.gets.load()},
         {"deletes", s.deletes.load()},
         {"deltas", s.deltas.load()},
         {"insert_if_not_exists", s.insert_if_not_exists.load()},
-        {"bloom_skips", s.bloom_skips.load()},
         {"write.stalls", s.write_stalls.load()},
         {"write_stall_micros", s.write_stall_micros.load()},
         {"write.max_stall_micros", s.max_stall_micros.load()},
@@ -118,10 +128,8 @@ class BlsmEngine : public Engine {
          wal.batches != 0 ? wal.records / wal.batches : 0},
         {"block_cache.hits", tree_->CacheHits()},
         {"block_cache.misses", tree_->CacheMisses()},
-        {"read.views_pinned", s.views_pinned.load()},
-        {"read.multiget_batches", s.multiget_batches.load()},
-        {"read.blocks_coalesced", s.blocks_coalesced.load()},
     };
+    AddReadStats(s.read, &stats);
     AddIoStats(tree_->IoCounters(), &stats);
     return stats;
   }
@@ -175,7 +183,6 @@ class MultilevelEngine : public Engine {
     const LogicalLog::Counters wal = tree_->WalCounters();
     std::map<std::string, uint64_t> stats = {
         {"puts", s.puts.load()},
-        {"gets", s.gets.load()},
         {"write.stalls", s.write_stalls.load()},
         {"write_stall_micros", s.write_stall_micros.load()},
         {"write.max_stall_micros", s.max_stall_micros.load()},
@@ -202,13 +209,8 @@ class MultilevelEngine : public Engine {
          wal.batches != 0 ? wal.records / wal.batches : 0},
         {"block_cache.hits", tree_->CacheHits()},
         {"block_cache.misses", tree_->CacheMisses()},
-        {"read.views_pinned", s.views_pinned.load()},
-        {"read.multiget_batches", s.multiget_batches.load()},
-        {"read.run_probes", s.read_run_probes.load()},
-        // No cross-key block coalescing in the multilevel read path; the
-        // key is reported for cross-engine symmetry.
-        {"read.blocks_coalesced", 0},
     };
+    AddReadStats(s.read, &stats);
     // Per-level shape and write-amplification bytes (flushes land in l0).
     for (int l = 0; l < multilevel::kNumLevels; l++) {
       std::string suffix = "_l" + std::to_string(l);

@@ -20,7 +20,12 @@ constexpr uint64_t kMergePausePollUs = 1000;
 // --- construction / open ------------------------------------------------------
 
 BlsmTree::BlsmTree(const BlsmOptions& options, std::string dir)
-    : options_(options), dir_(std::move(dir)) {
+    : options_(options),
+      dir_(std::move(dir)),
+      merge_op_(options.merge_operator != nullptr
+                    ? options.merge_operator
+                    : std::make_shared<const AppendMergeOperator>()),
+      read_path_(merge_op_, options.early_read_termination, &stats_.read) {
   env_ = options_.env != nullptr ? options_.env : Env::Default();
   if (options_.io_rate_limiter != nullptr) {
     // All tree I/O goes through the limiter-aware decorator; only writes on
@@ -44,9 +49,6 @@ BlsmTree::BlsmTree(const BlsmOptions& options, std::string dir)
   } else {
     scheduler_ = MakeScheduler(options_.scheduler);
   }
-  merge_op_ = options_.merge_operator != nullptr
-                  ? options_.merge_operator
-                  : std::make_shared<const AppendMergeOperator>();
 }
 
 Status BlsmTree::Open(const BlsmOptions& options, const std::string& dir,
@@ -202,28 +204,38 @@ BlsmTree::~BlsmTree() {
 
 // --- read views / state ------------------------------------------------------
 
-BlsmTree::ReadViewPtr BlsmTree::PinView() {
-  stats_.views_pinned.fetch_add(1, std::memory_order_relaxed);
-  return view_.load();
-}
-
 void BlsmTree::PublishView() {
   // Rebuilds the view from current state. Publication points cover every
   // structural transition: merge installs call this directly (under mu_,
   // with the output component already in place but the consumed memtable
-  // not yet dropped), and memtable swaps reach it through the front-end's
-  // on_memtable_change hook (with the install already published). Either
-  // way a record crossing levels is present in BOTH the old and the new
-  // home for at least one published view — a reader may observe it twice
-  // (shadowed by sequence number) but can never miss it.
+  // not yet dropped or truncated), and memtable swaps reach it through the
+  // front-end's on_memtable_change hook (with the install already
+  // published). Each record is readable from exactly one slot of every
+  // view: from the install on, the merged memtable's slot hides the
+  // entries the output component now holds (merged_mem_), so a delta is
+  // never applied twice, and nothing leaves a memtable before its component
+  // is visible, so no record is ever missed.
   auto view = std::make_shared<ReadView>();
   engine::MemtablePairPtr pair = frontend_->Pair();
-  view->mem = pair->active;
-  view->mem_old = pair->frozen;
-  view->c1 = c1_;
-  view->c1_prime = c1_prime_;
-  view->c2 = c2_;
+  for (const std::shared_ptr<MemTable>& mem : {pair->active, pair->frozen}) {
+    if (mem != nullptr) view->memtables.push_back({mem, mem == merged_mem_});
+  }
+  for (const ComponentPtr& comp : {c1_, c1_prime_, c2_}) {
+    if (comp == nullptr) continue;
+    ReadRun run;
+    run.reader = comp->reader.get();
+    // §3.1.2: bloom_on_largest=false drops only C2's filter.
+    run.use_bloom = options_.use_bloom &&
+                    (options_.bloom_on_largest || comp != c2_);
+    run.pin = comp;
+    view->levels.push_back({/*sorted=*/false, {std::move(run)}});
+  }
   view_.store(std::move(view));
+  // Once the merged memtable has left the pair (dropped or truncated),
+  // nothing is left to hide.
+  if (merged_mem_ != pair->active && merged_mem_ != pair->frozen) {
+    merged_mem_.reset();
+  }
   // Every publication is a structural change that may have freed C0 space
   // or merge headroom: wake any writer stalled on it.
   stall_tracker_.NotifyChange();
@@ -379,354 +391,22 @@ Status BlsmTree::WriteDelta(const Slice& key, const Slice& delta) {
 
 Status BlsmTree::InsertIfNotExists(const Slice& key, const Slice& value) {
   stats_.insert_if_not_exists.fetch_add(1, std::memory_order_relaxed);
-  ReadViewPtr view = PinView();
   bool exists = false;
-  Status s = KeyExistsProbe(key, *view, &exists);
+  Status s = read_path_.GetKeyExists(*PinView(), key, &exists);
   if (!s.ok()) return s;
   if (exists) return Status::KeyExists(key);
   return WriteImpl(key, RecordType::kBase, value);
 }
 
-Status BlsmTree::KeyExistsProbe(const Slice& key, const ReadView& view,
-                                bool* exists) {
-  // The newest version decides: a base OR a delta means the key reads back
-  // a value (deltas define one even over a tombstone or nothing, §2.3); a
-  // tombstone means it does not. C0 (and C0') first: free.
-  bool decided = false;
-  auto probe_mem = [&](const std::shared_ptr<MemTable>& mem) {
-    if (decided || mem == nullptr) return;
-    mem->ForEachVersion(key, [&](RecordType t, const Slice&) {
-      *exists = t != RecordType::kTombstone;
-      decided = true;
-      return false;
-    });
-  };
-  probe_mem(view.mem);
-  probe_mem(view.mem_old);
-  if (decided) return Status::OK();
-
-  // On-disk components: the Bloom filters prove absence with zero seeks
-  // (§3.1.2); a positive filter requires one real lookup.
-  const Component* comps[3] = {view.c1.get(), view.c1_prime.get(),
-                               view.c2.get()};
-  for (const Component* comp : comps) {
-    if (comp == nullptr) continue;
-    bool use_bloom =
-        options_.use_bloom &&
-        (options_.bloom_on_largest || comp != view.c2.get());
-    if (use_bloom && !comp->reader->MayContain(key)) {
-      stats_.bloom_skips.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    Status io;
-    auto rec = comp->reader->Get(key, use_bloom, &io);
-    if (!io.ok()) return io;
-    if (rec.has_value()) {
-      if (rec->type == RecordType::kBase) {
-        *exists = true;
-        return Status::OK();
-      }
-      if (rec->type == RecordType::kTombstone) {
-        *exists = false;
-        return Status::OK();
-      }
-      // Delta: the key effectively has a value (deltas against a missing
-      // base still produce one at read time).
-      *exists = true;
-      return Status::OK();
-    }
-  }
-  *exists = false;
-  return Status::OK();
-}
-
 // --- reads ----------------------------------------------------------------
 
-Status BlsmTree::FinishLookup(const Slice& key, bool have_base,
-                              const std::string& base,
-                              std::vector<std::string>& deltas_newest_first,
-                              std::string* value) const {
-  if (!have_base && deltas_newest_first.empty()) return Status::NotFound(key);
-  if (have_base && deltas_newest_first.empty()) {
-    *value = base;
-    return Status::OK();
-  }
-  std::vector<Slice> oldest_first;
-  oldest_first.reserve(deltas_newest_first.size());
-  for (auto it = deltas_newest_first.rbegin();
-       it != deltas_newest_first.rend(); ++it) {
-    oldest_first.emplace_back(*it);
-  }
-  Slice base_slice(base);
-  if (!merge_op_->FullMerge(key, have_base ? &base_slice : nullptr,
-                            oldest_first, value)) {
-    return Status::Corruption("merge operator rejected operands");
-  }
-  return Status::OK();
-}
-
 Status BlsmTree::Get(const Slice& key, std::string* value) {
-  stats_.gets.fetch_add(1, std::memory_order_relaxed);
-  ReadViewPtr view = PinView();
-  if (options_.early_read_termination) {
-    return GetWithEarlyTermination(key, *view, value);
-  }
-  return GetExhaustive(key, *view, value);
-}
-
-Status BlsmTree::GetWithEarlyTermination(const Slice& key,
-                                         const ReadView& view,
-                                         std::string* value) {
-  // §3.1.1: components are searched newest-first and the lookup stops at the
-  // first base record or tombstone.
-  std::vector<std::string> deltas;
-  bool terminated = false;
-  bool have_base = false;
-  bool deleted = false;
-  std::string base;
-
-  auto search_mem = [&](const std::shared_ptr<MemTable>& mem) {
-    if (terminated || mem == nullptr) return;
-    mem->ForEachVersion(key, [&](RecordType t, const Slice& v) {
-      switch (t) {
-        case RecordType::kBase:
-          base.assign(v.data(), v.size());
-          have_base = true;
-          terminated = true;
-          break;
-        case RecordType::kTombstone:
-          deleted = true;
-          terminated = true;
-          break;
-        case RecordType::kDelta:
-          deltas.emplace_back(v.data(), v.size());
-          break;
-      }
-      return !terminated;
-    });
-  };
-  search_mem(view.mem);
-  search_mem(view.mem_old);
-
-  const Component* comps[3] = {view.c1.get(), view.c1_prime.get(),
-                               view.c2.get()};
-  for (const Component* comp : comps) {
-    if (terminated) break;
-    if (comp == nullptr) continue;
-    bool use_bloom =
-        options_.use_bloom &&
-        (options_.bloom_on_largest || comp != view.c2.get());
-    if (use_bloom && !comp->reader->MayContain(key)) {
-      stats_.bloom_skips.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    Status io;
-    auto rec = comp->reader->Get(key, use_bloom, &io);
-    if (!io.ok()) return io;
-    if (!rec.has_value()) continue;
-    switch (rec->type) {
-      case RecordType::kBase:
-        base = std::move(rec->value);
-        have_base = true;
-        terminated = true;
-        break;
-      case RecordType::kTombstone:
-        deleted = true;
-        terminated = true;
-        break;
-      case RecordType::kDelta:
-        deltas.emplace_back(std::move(rec->value));
-        break;
-    }
-  }
-
-  (void)deleted;  // a tombstone simply means "no base below"
-  return FinishLookup(key, have_base, base, deltas, value);
-}
-
-Status BlsmTree::GetExhaustive(const Slice& key, const ReadView& view,
-                               std::string* value) {
-  // Ablation for §3.1.1: visit every component unconditionally, collect all
-  // versions, and reconstruct by sequence number. Models systems that assign
-  // reads to components non-deterministically and cannot stop early.
-  struct Version {
-    SequenceNumber seq;
-    RecordType type;
-    std::string value;
-  };
-  std::vector<Version> versions;
-
-  auto collect_mem = [&](const std::shared_ptr<MemTable>& mem) {
-    if (mem == nullptr) return;
-    // ForEachVersion already stops below a terminator, which is harmless
-    // here: anything below it is shadowed in every reconstruction.
-    SequenceNumber synth = kMaxSequenceNumber;
-    mem->ForEachVersion(key, [&](RecordType t, const Slice& v) {
-      versions.push_back(Version{synth--, t, std::string(v.data(), v.size())});
-      return true;
-    });
-  };
-  collect_mem(view.mem);
-  collect_mem(view.mem_old);
-
-  const Component* comps[3] = {view.c1.get(), view.c1_prime.get(),
-                               view.c2.get()};
-  SequenceNumber disk_rank = kMaxSequenceNumber / 2;
-  for (const Component* comp : comps) {
-    if (comp == nullptr) continue;
-    Status io;
-    auto rec = comp->reader->Get(key, /*use_bloom=*/false, &io);
-    if (!io.ok()) return io;
-    if (rec.has_value()) {
-      versions.push_back(Version{disk_rank, rec->type, std::move(rec->value)});
-    }
-    disk_rank--;  // freshness ordering across components
-  }
-
-  std::stable_sort(versions.begin(), versions.end(),
-                   [](const Version& a, const Version& b) {
-                     return a.seq > b.seq;
-                   });
-
-  std::vector<std::string> deltas;
-  bool have_base = false;
-  std::string base;
-  for (const Version& v : versions) {
-    if (v.type == RecordType::kBase) {
-      base = v.value;
-      have_base = true;
-      break;
-    }
-    if (v.type == RecordType::kTombstone) break;
-    deltas.push_back(v.value);
-  }
-  return FinishLookup(key, have_base, base, deltas, value);
+  return read_path_.Get(*PinView(), key, value);
 }
 
 std::vector<Status> BlsmTree::MultiGet(const std::vector<Slice>& keys,
                                        std::vector<std::string>* values) {
-  stats_.gets.fetch_add(keys.size(), std::memory_order_relaxed);
-  stats_.multiget_batches.fetch_add(1, std::memory_order_relaxed);
-  ReadViewPtr view = PinView();  // one pin: a consistent point for the batch
-  values->assign(keys.size(), std::string());
-  std::vector<Status> statuses(keys.size());
-  if (keys.empty()) return statuses;
-
-  if (!options_.early_read_termination) {
-    // The ablation path has no early termination to batch around; every key
-    // visits every component anyway.
-    for (size_t i = 0; i < keys.size(); i++) {
-      statuses[i] = GetExhaustive(keys[i], *view, &(*values)[i]);
-    }
-    return statuses;
-  }
-
-  // Per-key lookup state, carried across components (§3.1.1 early
-  // termination, but advanced batch-wise instead of key-wise).
-  struct Lookup {
-    bool terminated = false;
-    bool failed = false;  // statuses[i] already holds the error
-    bool have_base = false;
-    std::string base;
-    std::vector<std::string> deltas;
-  };
-  std::vector<Lookup> lookups(keys.size());
-
-  // Memtable pass, newest first (C0 then C0'): free, no batching needed.
-  auto search_mem = [&](const std::shared_ptr<MemTable>& mem) {
-    if (mem == nullptr) return;
-    for (size_t i = 0; i < keys.size(); i++) {
-      Lookup& lk = lookups[i];
-      if (lk.terminated) continue;
-      mem->ForEachVersion(keys[i], [&](RecordType t, const Slice& v) {
-        switch (t) {
-          case RecordType::kBase:
-            lk.base.assign(v.data(), v.size());
-            lk.have_base = true;
-            lk.terminated = true;
-            break;
-          case RecordType::kTombstone:
-            lk.terminated = true;
-            break;
-          case RecordType::kDelta:
-            lk.deltas.emplace_back(v.data(), v.size());
-            break;
-        }
-        return !lk.terminated;
-      });
-    }
-  };
-  search_mem(view->mem);
-  search_mem(view->mem_old);
-
-  // Sort the probe set once; every component below is visited in ascending
-  // key order so adjacent keys in the same block decode it once.
-  std::vector<size_t> order(keys.size());
-  for (size_t i = 0; i < order.size(); i++) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return keys[a].compare(keys[b]) < 0;
-  });
-
-  const Component* comps[3] = {view->c1.get(), view->c1_prime.get(),
-                               view->c2.get()};
-  std::vector<size_t> admitted;
-  std::vector<Slice> probe_keys;
-  std::vector<Status> io;
-  for (const Component* comp : comps) {
-    if (comp == nullptr) continue;
-    const bool use_bloom =
-        options_.use_bloom &&
-        (options_.bloom_on_largest || comp != view->c2.get());
-
-    // All of this component's Bloom probes together, still in key order.
-    admitted.clear();
-    probe_keys.clear();
-    for (size_t i : order) {
-      if (lookups[i].terminated) continue;
-      if (use_bloom && !comp->reader->MayContain(keys[i])) {
-        stats_.bloom_skips.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      admitted.push_back(i);
-      probe_keys.push_back(keys[i]);
-    }
-    if (admitted.empty()) continue;
-
-    // One coalesced visit of the component for the surviving keys.
-    uint64_t coalesced = 0;
-    auto recs = comp->reader->MultiGet(probe_keys, &io, &coalesced);
-    stats_.blocks_coalesced.fetch_add(coalesced, std::memory_order_relaxed);
-    for (size_t j = 0; j < admitted.size(); j++) {
-      Lookup& lk = lookups[admitted[j]];
-      if (!io[j].ok()) {
-        statuses[admitted[j]] = io[j];
-        lk.failed = true;
-        lk.terminated = true;
-        continue;
-      }
-      if (!recs[j].has_value()) continue;
-      switch (recs[j]->type) {
-        case RecordType::kBase:
-          lk.base = std::move(recs[j]->value);
-          lk.have_base = true;
-          lk.terminated = true;
-          break;
-        case RecordType::kTombstone:
-          lk.terminated = true;
-          break;
-        case RecordType::kDelta:
-          lk.deltas.emplace_back(std::move(recs[j]->value));
-          break;
-      }
-    }
-  }
-
-  for (size_t i = 0; i < keys.size(); i++) {
-    if (lookups[i].failed) continue;
-    statuses[i] = FinishLookup(keys[i], lookups[i].have_base, lookups[i].base,
-                               lookups[i].deltas, &(*values)[i]);
-  }
-  return statuses;
+  return read_path_.MultiGet(*PinView(), keys, values);
 }
 
 Status BlsmTree::ReadModifyWrite(
@@ -740,129 +420,10 @@ Status BlsmTree::ReadModifyWrite(
   return Put(key, update(old, absent));
 }
 
-// --- scans ------------------------------------------------------------------
-
-std::unique_ptr<ScanIterator> BlsmTree::NewScanIterator(
-    uint64_t readahead_bytes) {
-  ReadViewPtr view = PinView();
-  std::vector<std::unique_ptr<InternalIterator>> children;
-  std::vector<std::shared_ptr<void>> pins;
-  children.push_back(NewMemTableIterator(view->mem));
-  if (view->mem_old != nullptr) {
-    children.push_back(NewMemTableIterator(view->mem_old));
-  }
-  for (const ComponentPtr& comp : {view->c1, view->c1_prime, view->c2}) {
-    if (comp == nullptr) continue;
-    children.push_back(NewTreeComponentIterator(
-        comp->reader.get(), /*sequential=*/false, readahead_bytes));
-    pins.push_back(comp);
-  }
-  auto merged = std::make_unique<MergingIterator>(std::move(children));
-  return std::unique_ptr<ScanIterator>(
-      new ScanIterator(std::move(merged), merge_op_, std::move(pins)));
-}
-
 Status BlsmTree::Scan(const Slice& start, size_t limit,
                       std::vector<std::pair<std::string, std::string>>* out,
                       uint64_t readahead_bytes) {
-  out->clear();
-  auto it = NewScanIterator(readahead_bytes);
-  for (it->Seek(start); it->Valid() && out->size() < limit; it->Next()) {
-    out->emplace_back(it->key().ToString(), it->value().ToString());
-  }
-  return it->status();
-}
-
-ScanIterator::ScanIterator(std::unique_ptr<InternalIterator> iter,
-                           std::shared_ptr<const MergeOperator> merge_op,
-                           std::vector<std::shared_ptr<void>> pins)
-    : iter_(std::move(iter)),
-      merge_op_(std::move(merge_op)),
-      pins_(std::move(pins)) {}
-
-void ScanIterator::SeekToFirst() {
-  iter_->SeekToFirst();
-  CollapseCurrent();
-}
-
-void ScanIterator::Seek(const Slice& user_key) {
-  iter_->Seek(InternalLookupKey(user_key));
-  CollapseCurrent();
-}
-
-void ScanIterator::Next() { CollapseCurrent(); }
-
-void ScanIterator::CollapseCurrent() {
-  // The underlying iterator is positioned at the first unprocessed version.
-  valid_ = false;
-  while (iter_->Valid()) {
-    // A child iterator that died on an I/O or checksum error reports
-    // through status(); stopping silently here would truncate the scan.
-    if (!iter_->status().ok()) {
-      status_ = iter_->status();
-      return;
-    }
-    ParsedInternalKey first;
-    if (!ParseInternalKey(iter_->key(), &first)) {
-      status_ = Status::Corruption("bad internal key in scan");
-      return;
-    }
-    key_.assign(first.user_key.data(), first.user_key.size());
-
-    bool have_base = false;
-    bool have_tombstone = false;
-    std::string base;
-    std::vector<std::string> deltas_newest_first;
-
-    while (iter_->Valid()) {
-      ParsedInternalKey parsed;
-      if (!ParseInternalKey(iter_->key(), &parsed)) {
-        status_ = Status::Corruption("bad internal key in scan");
-        return;
-      }
-      if (parsed.user_key != Slice(key_)) break;
-      if (!have_base && !have_tombstone) {
-        switch (parsed.type) {
-          case RecordType::kBase:
-            base.assign(iter_->value().data(), iter_->value().size());
-            have_base = true;
-            break;
-          case RecordType::kTombstone:
-            have_tombstone = true;
-            break;
-          case RecordType::kDelta:
-            deltas_newest_first.emplace_back(iter_->value().data(),
-                                             iter_->value().size());
-            break;
-        }
-      }
-      iter_->Next();
-    }
-
-    if (!have_base && deltas_newest_first.empty()) {
-      continue;  // deleted key (or empty group): skip to the next user key
-    }
-    std::vector<Slice> oldest_first;
-    for (auto rit = deltas_newest_first.rbegin();
-         rit != deltas_newest_first.rend(); ++rit) {
-      oldest_first.emplace_back(*rit);
-    }
-    if (oldest_first.empty()) {
-      value_ = std::move(base);
-    } else {
-      Slice base_slice(base);
-      if (!merge_op_->FullMerge(key_, have_base ? &base_slice : nullptr,
-                                oldest_first, &value_)) {
-        status_ = Status::Corruption("merge operator rejected operands");
-        return;
-      }
-    }
-    valid_ = true;
-    return;
-  }
-  // Exhausted — distinguish a clean end from a child that died on an error
-  // (e.g. a corrupt block): the scan must not look merely shorter.
-  if (status_.ok()) status_ = iter_->status();
+  return read_path_.Scan(*PinView(), start, limit, out, readahead_bytes);
 }
 
 // --- merges -----------------------------------------------------------------
@@ -1051,16 +612,17 @@ Status BlsmTree::RunMerge1Pass() {
       c1_data_bytes_.store(0);
       force_promote_.store(false);
     }
-    // Readers must see the output component before the consumed memtable is
-    // dropped below (double-observation, never loss).
+    // Readers see the output component before the consumed memtable leaves
+    // the view below (never loss); from this view on, the memtable's slot
+    // hides the entries the component holds (never a second copy).
+    merged_mem_ = input_mem;
     PublishView();
     manifest = BuildManifestLocked(&manifest_version);
   }
   // The consumed C0' becomes droppable only after the view containing its
   // component was published above: the drop triggers another publication
-  // (via on_memtable_change), so the record sequence a reader can observe
-  // goes "in both places" -> "component only" — duplicated at worst, never
-  // lost.
+  // (via on_memtable_change), so the place a reader finds a record goes
+  // "component (memtable slot hiding it)" -> "component only".
   if (!options_.snowshovel) frontend_->DropFrozen();
   s = SaveManifest(manifest, manifest_version);
   if (!s.ok()) {

@@ -18,6 +18,7 @@
 #include "lsm/merge_iterator.h"
 #include "lsm/merge_operator.h"
 #include "lsm/merge_scheduler.h"
+#include "lsm/read_path.h"
 #include "lsm/record.h"
 #include "memtable/memtable.h"
 #include "sstree/tree_reader.h"
@@ -28,8 +29,6 @@
 #include "wal/logical_log.h"
 
 namespace blsm {
-
-class ScanIterator;
 
 // Tuning and ablation knobs. Defaults match the paper's design: three-level
 // tree, Bloom filters on both on-disk components, snowshoveling, spring-and-
@@ -102,11 +101,9 @@ struct BlsmOptions {
 // Counters exposed for tests and the benchmark harness.
 struct BlsmStats {
   std::atomic<uint64_t> puts{0};
-  std::atomic<uint64_t> gets{0};
   std::atomic<uint64_t> deletes{0};
   std::atomic<uint64_t> deltas{0};
   std::atomic<uint64_t> insert_if_not_exists{0};
-  std::atomic<uint64_t> bloom_skips{0};  // component probes avoided
   // Stall accounting: completed stall events, their measured wall-clock
   // total, and the longest single stall (the paper's robustness metric).
   std::atomic<uint64_t> write_stalls{0};
@@ -118,12 +115,7 @@ struct BlsmStats {
   std::atomic<uint64_t> merge2_bytes_out{0};
   std::atomic<uint64_t> merge_retries{0};       // transient-failure re-runs
   std::atomic<uint64_t> orphans_scavenged{0};   // unreferenced files removed
-  // Read-path counters: view pins (one per Get/MultiGet/scan, not per
-  // component), MultiGet batches, and block decodes saved by coalescing
-  // adjacent keys of a batch into one block visit.
-  std::atomic<uint64_t> views_pinned{0};
-  std::atomic<uint64_t> multiget_batches{0};
-  std::atomic<uint64_t> blocks_coalesced{0};
+  ReadStats read;  // gets, Bloom skips, view pins, run probes, coalescing
 };
 
 // bLSM: a three-level log structured merge tree with Bloom filters, early
@@ -166,15 +158,13 @@ class BlsmTree {
   Status InsertIfNotExists(const Slice& key, const Slice& value);
 
   // Point lookup; ~1 seek (§3.1.1). NotFound if absent or deleted.
-  // Lock-free: pins the published ReadView, acquires no mutex.
+  // Lock-free: pins the published ReadView, acquires no mutex. Reads go
+  // through the shared ReadPath (lsm/read_path.h).
   Status Get(const Slice& key, std::string* value) EXCLUDES(mu_);
 
   // Batched point lookups against one pinned view of the tree:
-  // values->at(i) and the returned status i correspond to keys[i]. The
-  // probe set is sorted once, Bloom filters are consulted per component for
-  // the whole batch, and each component is visited once in key order so
-  // adjacent keys landing in the same block decode it once. Lock-free like
-  // Get.
+  // values->at(i) and the returned status i correspond to keys[i]
+  // (ReadPath::MultiGet). Lock-free like Get.
   std::vector<Status> MultiGet(const std::vector<Slice>& keys,
                                std::vector<std::string>* values)
       EXCLUDES(mu_);
@@ -194,9 +184,6 @@ class BlsmTree {
   Status Scan(const Slice& start, size_t limit,
               std::vector<std::pair<std::string, std::string>>* out,
               uint64_t readahead_bytes = 0);
-
-  // Streaming scan; see ScanIterator below.
-  std::unique_ptr<ScanIterator> NewScanIterator(uint64_t readahead_bytes = 0);
 
   // Pushes C0 into C1 and waits (one synchronous merge pass).
   Status Flush();
@@ -271,18 +258,6 @@ class BlsmTree {
     }
   };
 
-  // An immutable view of the whole tree shape — memtable pair plus the
-  // on-disk components. Built only when structure changes and published
-  // through view_; reads pin it with a single atomic load. The shared_ptrs
-  // inside double as lifetime pins: a replaced component's file survives
-  // until the last view referencing it is dropped.
-  struct ReadView {
-    std::shared_ptr<MemTable> mem;
-    std::shared_ptr<MemTable> mem_old;
-    ComponentPtr c1, c1_prime, c2;
-  };
-  using ReadViewPtr = std::shared_ptr<const ReadView>;
-
   BlsmTree(const BlsmOptions& options, std::string dir);
 
   Status OpenImpl() EXCLUDES(mu_);
@@ -293,25 +268,13 @@ class BlsmTree {
   // (one atomic load + one refcount bump, no mutex); PublishView rebuilds
   // the view from current state and must run at every structural
   // transition (it is called from the merge install blocks and from the
-  // front-end's on_memtable_change hook).
-  ReadViewPtr PinView() EXCLUDES(mu_);
+  // front-end's on_memtable_change hook). The view is two memtables plus
+  // one single-run level per on-disk component (C1, C1', C2).
+  ReadViewPtr PinView() EXCLUDES(mu_) { return view_.load(); }
   void PublishView() REQUIRES(mu_);
 
   Status WriteImpl(const Slice& key, RecordType type, const Slice& value);
   void ApplyBackpressure();
-
-  // Existence probe for InsertIfNotExists. Sets *exists; may perform seeks
-  // only when a Bloom filter admits the key.
-  Status KeyExistsProbe(const Slice& key, const ReadView& view, bool* exists);
-
-  Status GetWithEarlyTermination(const Slice& key, const ReadView& view,
-                                 std::string* value);
-  Status GetExhaustive(const Slice& key, const ReadView& view,
-                       std::string* value);
-  Status FinishLookup(const Slice& key, bool have_base,
-                      const std::string& base,
-                      std::vector<std::string>& deltas_newest_first,
-                      std::string* value) const;
 
   double CurrentR() const REQUIRES(mu_);
   void MaybeScheduleMerge1();
@@ -347,6 +310,7 @@ class BlsmTree {
   std::shared_ptr<BlockCache> cache_;
   std::unique_ptr<MergeScheduler> scheduler_;
   std::shared_ptr<const MergeOperator> merge_op_;
+  ReadPath read_path_;
 
   // The shared WAL+memtable write path (C0 and C0' live here) and the
   // background-job runner (merge threads, retry, error latch).
@@ -357,6 +321,11 @@ class BlsmTree {
   ComponentPtr c1_ GUARDED_BY(mu_);
   ComponentPtr c1_prime_ GUARDED_BY(mu_);
   ComponentPtr c2_ GUARDED_BY(mu_);
+  // The memtable whose consumed entries the last C0:C1 install put in C1,
+  // until it leaves the memtable pair (the snowshovel C0 at its truncation,
+  // C0' at its drop); views hide those entries so each record is readable
+  // from one slot only.
+  std::shared_ptr<MemTable> merged_mem_ GUARDED_BY(mu_);
   // RCU publication point for the read path. Stores happen only inside
   // PublishView (under mu_); loads are lock-free by design.
   util::AtomicSharedPtr<const ReadView> view_;
@@ -388,47 +357,6 @@ class BlsmTree {
   engine::StallTracker stall_tracker_;
 
   BlsmStats stats_;
-
-  friend class ScanIterator;
-};
-
-// User-facing streaming scan: merges all components, collapses versions,
-// applies deltas, elides tombstones.
-class ScanIterator {
- public:
-  // Also constructed directly by other engines (the multilevel baseline)
-  // that share the record semantics: `iter` yields internal-key order,
-  // `pins` keeps the underlying components alive.
-  ScanIterator(std::unique_ptr<InternalIterator> iter,
-               std::shared_ptr<const MergeOperator> merge_op,
-               std::vector<std::shared_ptr<void>> pins);
-
-  ScanIterator(const ScanIterator&) = delete;
-  ScanIterator& operator=(const ScanIterator&) = delete;
-
-  bool Valid() const { return valid_; }
-  void SeekToFirst();
-  void Seek(const Slice& user_key);
-  void Next();
-
-  Slice key() const { return key_; }
-  Slice value() const { return value_; }
-  Status status() const { return status_; }
-
- private:
-  friend class BlsmTree;
-
-  // Collapses the versions at the iterator's current position into one user
-  // record; advances past them. Skips deleted keys.
-  void CollapseCurrent();
-
-  std::unique_ptr<InternalIterator> iter_;
-  std::shared_ptr<const MergeOperator> merge_op_;
-  std::vector<std::shared_ptr<void>> pins_;  // keeps components alive
-  bool valid_ = false;
-  std::string key_;
-  std::string value_;
-  Status status_;
 };
 
 }  // namespace blsm

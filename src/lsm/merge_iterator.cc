@@ -6,13 +6,22 @@ namespace {
 
 class MemTableInternalIterator final : public InternalIterator {
  public:
-  explicit MemTableInternalIterator(std::shared_ptr<MemTable> mem)
-      : mem_(std::move(mem)), it_(mem_.get()) {}
+  MemTableInternalIterator(std::shared_ptr<MemTable> mem, bool skip_consumed)
+      : mem_(std::move(mem)), it_(mem_.get()), skip_consumed_(skip_consumed) {}
 
   bool Valid() const override { return it_.Valid(); }
-  void SeekToFirst() override { it_.SeekToFirst(); }
-  void Seek(const Slice& ikey) override { it_.Seek(ikey); }
-  void Next() override { it_.Next(); }
+  void SeekToFirst() override {
+    it_.SeekToFirst();
+    SkipConsumed();
+  }
+  void Seek(const Slice& ikey) override {
+    it_.Seek(ikey);
+    SkipConsumed();
+  }
+  void Next() override {
+    it_.Next();
+    SkipConsumed();
+  }
   Slice key() const override { return it_.internal_key(); }
   Slice value() const override { return it_.value(); }
 
@@ -22,8 +31,13 @@ class MemTableInternalIterator final : public InternalIterator {
   }
 
  private:
+  void SkipConsumed() {
+    while (skip_consumed_ && it_.Valid() && it_.IsConsumed()) it_.Next();
+  }
+
   std::shared_ptr<MemTable> mem_;
   MemTable::Iterator it_;
+  bool skip_consumed_;
 };
 
 class TreeInternalIterator final : public InternalIterator {
@@ -47,8 +61,9 @@ class TreeInternalIterator final : public InternalIterator {
 }  // namespace
 
 std::unique_ptr<InternalIterator> NewMemTableIterator(
-    std::shared_ptr<MemTable> mem) {
-  return std::make_unique<MemTableInternalIterator>(std::move(mem));
+    std::shared_ptr<MemTable> mem, bool skip_consumed) {
+  return std::make_unique<MemTableInternalIterator>(std::move(mem),
+                                                    skip_consumed);
 }
 
 std::unique_ptr<InternalIterator> NewTreeComponentIterator(

@@ -32,8 +32,9 @@ class InternalIterator {
 };
 
 // Adapters. Each keeps its source alive via shared ownership where needed.
+// `skip_consumed` passes over memtable entries a merge marked consumed.
 std::unique_ptr<InternalIterator> NewMemTableIterator(
-    std::shared_ptr<MemTable> mem);
+    std::shared_ptr<MemTable> mem, bool skip_consumed = false);
 // `scan_readahead_bytes` caps the non-sequential iterator's hint window
 // (0 = hints off, the scan default); sequential iterators ignore it.
 std::unique_ptr<InternalIterator> NewTreeComponentIterator(

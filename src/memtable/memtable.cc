@@ -40,7 +40,8 @@ void MemTable::Add(SequenceNumber seq, RecordType type, const Slice& user_key,
 
 int MemTable::ForEachVersion(
     const Slice& user_key,
-    const std::function<bool(RecordType, const Slice& value)>& fn) const {
+    const std::function<bool(RecordType, const Slice& value)>& fn,
+    bool skip_consumed) const {
   SkipList::Iterator it(&list_);
   std::string lookup = InternalLookupKey(user_key);
   it.Seek(lookup);
@@ -51,6 +52,10 @@ int MemTable::ForEachVersion(
     ParsedInternalKey parsed;
     if (!ParseInternalKey(ikey, &parsed)) break;
     if (parsed.user_key != user_key) break;
+    if (skip_consumed && it.IsConsumed()) {
+      it.Next();
+      continue;
+    }
     visited++;
     bool proceed = fn(parsed.type, value);
     if (!proceed || parsed.type != RecordType::kDelta) break;

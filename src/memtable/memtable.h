@@ -34,10 +34,13 @@ class MemTable {
   // Visits the stored versions of user_key newest-first. The callback
   // returns true to keep iterating older versions (it will stop receiving
   // calls after a base or tombstone anyway — nothing older can matter).
-  // Returns the number of versions visited.
+  // `skip_consumed` passes over entries a merge has marked consumed (once
+  // that merge's output is readable, they live there). Returns the number
+  // of versions visited.
   int ForEachVersion(
       const Slice& user_key,
-      const std::function<bool(RecordType, const Slice& value)>& fn) const;
+      const std::function<bool(RecordType, const Slice& value)>& fn,
+      bool skip_consumed = false) const;
 
   // Bytes of record payload currently live (inserted minus consumed).
   size_t LiveBytes() const {

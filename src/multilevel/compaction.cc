@@ -358,15 +358,17 @@ Status MultilevelTree::FlushMemtable(std::shared_ptr<MemTable> imm) {
       fresh->levels[0].insert(fresh->levels[0].begin(), *it);
     }
     version_ = std::move(fresh);
-    // Readers must see the L0 run before the frozen memtable is dropped
-    // below (double-observation, never loss).
+    // Readers see the L0 run before the frozen memtable is dropped below
+    // (never loss); from this view on, the memtable's slot hides the
+    // entries the run holds (never a second copy).
+    merged_mem_ = imm;
     PublishView();
     stats_.memtable_flushes.fetch_add(1, std::memory_order_relaxed);
     manifest = BuildManifestLocked(&manifest_version);
   }
   // Drop the frozen memtable only after the view containing its L0 run was
   // published: the drop republishes (via on_memtable_change), so a reader
-  // sees the data in one place or both, never neither.
+  // finds each record in exactly one place throughout.
   frontend_->DropFrozen();
   s = SaveManifest(manifest, manifest_version);
   if (!s.ok()) return s;

@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "lsm/blsm_tree.h"  // ScanIterator
 #include "lsm/merge_iterator.h"
 
 namespace blsm::multilevel {
@@ -53,7 +52,12 @@ Status ValidateOptions(const MultilevelOptions& o) {
 
 MultilevelTree::MultilevelTree(const MultilevelOptions& options,
                                std::string dir)
-    : options_(options), dir_(std::move(dir)) {
+    : options_(options),
+      dir_(std::move(dir)),
+      merge_op_(options.merge_operator != nullptr
+                    ? options.merge_operator
+                    : std::make_shared<const AppendMergeOperator>()),
+      read_path_(merge_op_, /*early_termination=*/true, &stats_.read) {
   env_ = options_.env != nullptr ? options_.env : Env::Default();
   if (options_.io_rate_limiter != nullptr) {
     // All tree I/O goes through the limiter-aware decorator; only writes on
@@ -67,9 +71,6 @@ MultilevelTree::MultilevelTree(const MultilevelOptions& options,
   } else if (options_.block_cache_bytes > 0) {
     cache_ = std::make_shared<BlockCache>(options_.block_cache_bytes);
   }
-  merge_op_ = options_.merge_operator != nullptr
-                  ? options_.merge_operator
-                  : std::make_shared<const AppendMergeOperator>();
   version_ = std::make_shared<Version>();
 }
 
@@ -255,24 +256,34 @@ VersionPtr MultilevelTree::CurrentVersion() const {
   return version_;
 }
 
-MultilevelTree::ReadViewPtr MultilevelTree::PinView() {
-  stats_.views_pinned.fetch_add(1, std::memory_order_relaxed);
-  return view_.load();
-}
-
 void MultilevelTree::PublishView() {
   // Called at every structural transition: flush/compaction installs do it
   // directly (with the output runs already in version_ but the consumed
   // memtable not yet dropped), memtable swaps reach it through the
-  // front-end hook. Each transition keeps every record reachable in at
-  // least one slot of the new view, so a reader may see a record twice
-  // (shadowed by sequence number) but never lose one.
+  // front-end hook. Each record is readable from exactly one slot of every
+  // view: a frozen memtable whose L0 run is installed (merged_mem_) hides
+  // its entries until the drop, and compactions swap inputs for outputs in
+  // one version, so a reader never misses a record or sees it twice.
   auto view = std::make_shared<ReadView>();
   engine::MemtablePairPtr pair = frontend_->Pair();
-  view->mem = pair->active;
-  view->imm = pair->frozen;
-  view->version = version_;
+  for (const std::shared_ptr<MemTable>& mem : {pair->active, pair->frozen}) {
+    if (mem != nullptr) view->memtables.push_back({mem, mem == merged_mem_});
+  }
+  for (int l = 0; l < kNumLevels; l++) {
+    if (version_->levels[l].empty()) continue;
+    ReadLevel level;
+    level.sorted = !version_->overlapping[l];
+    for (const FileMetaPtr& f : version_->levels[l]) {
+      level.runs.push_back({f->reader.get(), /*bounded=*/true, f->smallest,
+                            f->largest, options_.use_bloom, f});
+    }
+    view->levels.push_back(std::move(level));
+  }
   view_.store(std::move(view));
+  // Once the flushed memtable has been dropped, nothing is left to hide.
+  if (merged_mem_ != pair->active && merged_mem_ != pair->frozen) {
+    merged_mem_.reset();
+  }
   // Every publication is a structural change that may have drained the L0
   // pile or freed the memtable: wake any writer stalled on it.
   stall_tracker_.NotifyChange();
@@ -396,10 +407,10 @@ Status MultilevelTree::WriteDelta(const Slice& key, const Slice& delta) {
 
 Status MultilevelTree::InsertIfNotExists(const Slice& key,
                                          const Slice& value) {
-  std::string existing;
-  Status s = Get(key, &existing);
-  if (s.ok()) return Status::KeyExists(key);
-  if (!s.IsNotFound()) return s;
+  bool exists = false;
+  Status s = read_path_.GetKeyExists(*PinView(), key, &exists);
+  if (!s.ok()) return s;
+  if (exists) return Status::KeyExists(key);
   return Put(key, value);
 }
 
@@ -417,142 +428,19 @@ Status MultilevelTree::ReadModifyWrite(
 // --- reads ---------------------------------------------------------------
 
 Status MultilevelTree::Get(const Slice& key, std::string* value) {
-  stats_.gets.fetch_add(1, std::memory_order_relaxed);
-  ReadViewPtr view = PinView();
-  return GetFromView(key, *view, value);
+  return read_path_.Get(*PinView(), key, value);
 }
 
 std::vector<Status> MultilevelTree::MultiGet(
     const std::vector<Slice>& keys, std::vector<std::string>* values) {
-  stats_.gets.fetch_add(keys.size(), std::memory_order_relaxed);
-  stats_.multiget_batches.fetch_add(1, std::memory_order_relaxed);
-  ReadViewPtr view = PinView();  // one pin for the whole batch
-  values->assign(keys.size(), std::string());
-  std::vector<Status> statuses(keys.size());
-  for (size_t i = 0; i < keys.size(); i++) {
-    statuses[i] = GetFromView(keys[i], *view, &(*values)[i]);
-  }
-  return statuses;
-}
-
-Status MultilevelTree::GetFromView(const Slice& key, const ReadView& view,
-                                   std::string* value) {
-  const std::shared_ptr<MemTable>& mem = view.mem;
-  const std::shared_ptr<MemTable>& imm = view.imm;
-  const VersionPtr& version = view.version;
-
-  std::vector<std::string> deltas;  // newest first
-  bool terminated = false;
-  bool have_base = false;
-  std::string base;
-
-  auto search_mem = [&](const std::shared_ptr<MemTable>& m) {
-    if (terminated || m == nullptr) return;
-    m->ForEachVersion(key, [&](RecordType t, const Slice& v) {
-      switch (t) {
-        case RecordType::kBase:
-          base.assign(v.data(), v.size());
-          have_base = true;
-          terminated = true;
-          break;
-        case RecordType::kTombstone:
-          terminated = true;
-          break;
-        case RecordType::kDelta:
-          deltas.emplace_back(v.data(), v.size());
-          break;
-      }
-      return !terminated;
-    });
-  };
-  search_mem(mem);
-  search_mem(imm);
-
-  auto search_file = [&](const FileMetaPtr& f) -> Status {
-    if (terminated) return Status::OK();
-    stats_.read_run_probes.fetch_add(1, std::memory_order_relaxed);
-    Status io;
-    auto rec = f->reader->Get(key, options_.use_bloom, &io);
-    if (!io.ok()) return io;
-    if (!rec.has_value()) return Status::OK();
-    switch (rec->type) {
-      case RecordType::kBase:
-        base = std::move(rec->value);
-        have_base = true;
-        terminated = true;
-        break;
-      case RecordType::kTombstone:
-        terminated = true;
-        break;
-      case RecordType::kDelta:
-        deltas.emplace_back(std::move(rec->value));
-        break;
-    }
-    return Status::OK();
-  };
-
-  for (int level = 0; level < kNumLevels && !terminated; level++) {
-    if (version->overlapping[level]) {
-      // L0 and tiered levels: every run may hold the key; probe newest
-      // first so the freshest record terminates the search.
-      for (const auto& f : version->levels[level]) {
-        if (terminated) break;
-        if (!f->MayContainKeyRange(key)) continue;
-        Status s = search_file(f);
-        if (!s.ok()) return s;
-      }
-    } else {
-      // Sorted level: at most one file can hold the key.
-      FileMetaPtr f = version->FileFor(level, key);
-      if (f == nullptr) continue;
-      Status s = search_file(f);
-      if (!s.ok()) return s;
-    }
-  }
-
-  if (!have_base && deltas.empty()) return Status::NotFound(key);
-  if (have_base && deltas.empty()) {
-    *value = std::move(base);
-    return Status::OK();
-  }
-  std::vector<Slice> oldest_first;
-  for (auto it = deltas.rbegin(); it != deltas.rend(); ++it) {
-    oldest_first.emplace_back(*it);
-  }
-  Slice base_slice(base);
-  if (!merge_op_->FullMerge(key, have_base ? &base_slice : nullptr,
-                            oldest_first, value)) {
-    return Status::Corruption("merge operator rejected operands");
-  }
-  return Status::OK();
+  return read_path_.MultiGet(*PinView(), keys, values);
 }
 
 Status MultilevelTree::Scan(
     const Slice& start, size_t limit,
     std::vector<std::pair<std::string, std::string>>* out,
     uint64_t readahead_bytes) {
-  out->clear();
-  ReadViewPtr view = PinView();
-
-  std::vector<std::unique_ptr<InternalIterator>> children;
-  std::vector<std::shared_ptr<void>> pins;
-  children.push_back(NewMemTableIterator(view->mem));
-  if (view->imm != nullptr) {
-    children.push_back(NewMemTableIterator(view->imm));
-  }
-  for (int level = 0; level < kNumLevels; level++) {
-    for (const auto& f : view->version->levels[level]) {
-      children.push_back(NewTreeComponentIterator(
-          f->reader.get(), /*sequential=*/false, readahead_bytes));
-      pins.push_back(f);
-    }
-  }
-  auto merged = std::make_unique<MergingIterator>(std::move(children));
-  ScanIterator it(std::move(merged), merge_op_, std::move(pins));
-  for (it.Seek(start); it.Valid() && out->size() < limit; it.Next()) {
-    out->emplace_back(it.key().ToString(), it.value().ToString());
-  }
-  return it.status();
+  return read_path_.Scan(*PinView(), start, limit, out, readahead_bytes);
 }
 
 }  // namespace blsm::multilevel

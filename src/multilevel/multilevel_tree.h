@@ -17,6 +17,7 @@
 #include "io/env.h"
 #include "lsm/merge_iterator.h"
 #include "lsm/merge_operator.h"
+#include "lsm/read_path.h"
 #include "lsm/record.h"
 #include "memtable/memtable.h"
 #include "multilevel/version.h"
@@ -99,7 +100,6 @@ struct MultilevelOptions {
 
 struct MultilevelStats {
   std::atomic<uint64_t> puts{0};
-  std::atomic<uint64_t> gets{0};
   // Stall accounting: completed stall events, their measured wall-clock
   // total, and the longest single stall. slowdown_writes counts writes that
   // took the L0 slowdown delay; stopped_writes counts hard-stop stall
@@ -121,18 +121,12 @@ struct MultilevelStats {
   // counted into level_write_bytes).
   std::atomic<uint64_t> parallel_output_builds{0};
   std::atomic<uint64_t> orphans_scavenged{0};
-  // Read-path counters: view pins (one per Get/MultiGet/scan) and MultiGet
-  // batches. (No block coalescing here — the multilevel read path probes
-  // per-level files key by key; kv::Engine::Stats() reports the key with a
-  // zero for symmetry with bLSM.)
-  std::atomic<uint64_t> views_pinned{0};
-  std::atomic<uint64_t> multiget_batches{0};
-  // On-disk runs actually probed by point lookups (a probe of a sorted
-  // level counts one file; an overlapping level counts every run whose key
-  // range covers the key until the search terminates). Divided by `gets`
-  // this is the structural read amplification the compaction-policy
-  // ablation measures — independent of cache state and index depth.
-  std::atomic<uint64_t> read_run_probes{0};
+  // Read-path counters. read.run_probes counts the runs a point lookup
+  // probes (one file of a sorted level; every covering run of an
+  // overlapping level until the search terminates); divided by read.gets
+  // it is the structural read amplification the compaction-policy ablation
+  // measures — independent of cache state and index depth.
+  ReadStats read;
 };
 
 // LevelDB-like multi-level LSM tree. Reuses the repository's memtable and
@@ -156,8 +150,9 @@ class MultilevelTree {
   Status Delete(const Slice& key);
   Status WriteDelta(const Slice& key, const Slice& delta);
 
-  // No Bloom filters: the existence check is a full multi-level lookup —
-  // O(levels) seeks, the cost §3.1.2 contrasts with bLSM's zero.
+  // No Bloom filters by default: the existence check probes level by level
+  // until the newest version — O(levels) seeks for an absent key, the cost
+  // §3.1.2 contrasts with bLSM's zero.
   Status InsertIfNotExists(const Slice& key, const Slice& value);
 
   // Point lookup: memtables, then L0 newest-first, then one file per deeper
@@ -166,8 +161,8 @@ class MultilevelTree {
   Status Get(const Slice& key, std::string* value) EXCLUDES(mu_);
 
   // Batched point lookups against one pinned view; statuses/values align
-  // with keys. (No cross-key block coalescing: unlike bLSM's three big
-  // components, the per-key file set differs level by level.)
+  // with keys. Each run is visited once for the keys it covers, with block
+  // reads coalesced (ReadPath::MultiGet).
   std::vector<Status> MultiGet(const std::vector<Slice>& keys,
                                std::vector<std::string>* values)
       EXCLUDES(mu_);
@@ -220,26 +215,17 @@ class MultilevelTree {
   const EnvIoCounters* IoCounters() const { return env_->io_counters(); }
 
  private:
-  // The immutable tree shape a reader sees: memtable pair + version.
-  // Published on every structural change (memtable swap via the front-end
-  // hook, flush/compaction install); pinned with one atomic load.
-  struct ReadView {
-    std::shared_ptr<MemTable> mem;
-    std::shared_ptr<MemTable> imm;
-    VersionPtr version;
-  };
-  using ReadViewPtr = std::shared_ptr<const ReadView>;
-
   MultilevelTree(const MultilevelOptions& options, std::string dir);
 
   Status OpenImpl() EXCLUDES(mu_);
   uint64_t LevelTargetBytes(int level) const;
 
-  ReadViewPtr PinView() EXCLUDES(mu_);
+  // The reader's tree shape — memtable pair plus the version's levels as a
+  // run stack — published on every structural change (memtable swap via
+  // the front-end hook, flush/compaction install); pinned with one atomic
+  // load.
+  ReadViewPtr PinView() EXCLUDES(mu_) { return view_.load(); }
   void PublishView() REQUIRES(mu_);
-  // The lookup body shared by Get and MultiGet, against a pinned view.
-  Status GetFromView(const Slice& key, const ReadView& view,
-                     std::string* value);
 
   Status WriteImpl(const Slice& key, RecordType type, const Slice& value);
   void MaybeStallWrites() EXCLUDES(mu_);
@@ -291,6 +277,7 @@ class MultilevelTree {
   Env* env_ = nullptr;
   std::shared_ptr<BlockCache> cache_;
   std::shared_ptr<const MergeOperator> merge_op_;
+  ReadPath read_path_;
 
   // WAL + memtable pair + sequence allocation + freeze/swap exclusion.
   std::unique_ptr<engine::WriteFrontend> frontend_;
@@ -299,6 +286,10 @@ class MultilevelTree {
 
   mutable util::Mutex mu_{util::lock_rank::kMultilevelTreeMu};
   VersionPtr version_ GUARDED_BY(mu_);
+  // The frozen memtable whose L0 run is already in version_, until it is
+  // dropped; views hide its (all consumed) entries so each record is
+  // readable from one slot only.
+  std::shared_ptr<MemTable> merged_mem_ GUARDED_BY(mu_);
   // RCU publication point for the read path; stores only in PublishView
   // (under mu_), loads lock-free.
   util::AtomicSharedPtr<const ReadView> view_;

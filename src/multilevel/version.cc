@@ -30,14 +30,6 @@ std::vector<FileMetaPtr> Version::Overlapping(int level, const Slice& begin,
   return result;
 }
 
-FileMetaPtr Version::FileFor(int level, const Slice& user_key) const {
-  for (const auto& f : levels[level]) {
-    if (f->MayContainKeyRange(user_key)) return f;
-    if (Slice(f->smallest).compare(user_key) > 0) break;  // sorted
-  }
-  return nullptr;
-}
-
 bool Version::IsBottommost(int level, const Slice& begin,
                            const Slice& end) const {
   for (int l = level + 1; l < kNumLevels; l++) {

@@ -34,11 +34,6 @@ struct FileMeta {
           "orphan scavenge reclaims the file on next open");
     }
   }
-
-  bool MayContainKeyRange(const Slice& user_key) const {
-    return Slice(smallest).compare(user_key) <= 0 &&
-           user_key.compare(Slice(largest)) <= 0;
-  }
 };
 using FileMetaPtr = std::shared_ptr<FileMeta>;
 
@@ -62,11 +57,6 @@ struct Version {
   // for both layouts (pure range test, no sortedness assumption).
   std::vector<FileMetaPtr> Overlapping(int level, const Slice& begin,
                                        const Slice& end) const;
-
-  // The single file in a *sorted* level >= 1 that may contain user_key, or
-  // nullptr. Callers must check overlapping[level] first; a tiered level can
-  // hold the key in several runs.
-  FileMetaPtr FileFor(int level, const Slice& user_key) const;
 
   // True if no file below `level` intersects [begin, end] — compactions into
   // such a range may drop tombstones.

@@ -97,6 +97,18 @@ void EncodeStats(std::string* out, uint64_t id) {
   EndFrame(out, at);
 }
 
+namespace {
+
+// Reads the u32 entry count that prefixes a counted body and rejects any
+// count the remaining bytes cannot hold: every entry costs at least
+// `min_entry_bytes`, so a forged count fails here instead of driving a
+// reserve() far past the input's size.
+bool GetCount(Slice* in, size_t min_entry_bytes, uint32_t* n) {
+  return GetFixed32(in, n) && *n <= in->size() / min_entry_bytes;
+}
+
+}  // namespace
+
 bool DecodeRequest(const Slice& payload, Request* request) {
   Slice in = payload;
   if (in.size() < kRequestHeaderBytes) return false;
@@ -129,10 +141,7 @@ bool DecodeRequest(const Slice& payload, Request* request) {
       return true;
     case OpCode::kMultiGet: {
       uint32_t n;
-      if (!GetFixed32(&in, &n)) return false;
-      // Each key costs at least its 4-byte length prefix; anything beyond
-      // that ratio is a forged count.
-      if (n > in.size() / 4 + 1) return false;
+      if (!GetCount(&in, 4, &n)) return false;  // a length prefix per key
       request->keys.reserve(n);
       for (uint32_t i = 0; i < n; i++) {
         Slice k;
@@ -143,8 +152,7 @@ bool DecodeRequest(const Slice& payload, Request* request) {
     }
     case OpCode::kWriteBatch: {
       uint32_t n;
-      if (!GetFixed32(&in, &n)) return false;
-      if (n > in.size() / 9 + 1) return false;  // 1 type + 2 length prefixes
+      if (!GetCount(&in, 9, &n)) return false;  // 1 type + 2 length prefixes
       request->entries.reserve(n);
       for (uint32_t i = 0; i < n; i++) {
         if (in.empty()) return false;
@@ -213,7 +221,7 @@ bool DecodeMultiGetBody(const Slice& body,
                         std::vector<std::pair<bool, std::string>>* out) {
   Slice in = body;
   uint32_t n;
-  if (!GetFixed32(&in, &n)) return false;
+  if (!GetCount(&in, 5, &n)) return false;  // found flag + length prefix
   out->clear();
   out->reserve(n);
   for (uint32_t i = 0; i < n; i++) {
@@ -232,7 +240,7 @@ bool DecodeScanBody(
     std::vector<std::pair<std::string, std::string>>* out) {
   Slice in = body;
   uint32_t n;
-  if (!GetFixed32(&in, &n)) return false;
+  if (!GetCount(&in, 8, &n)) return false;  // two length prefixes
   out->clear();
   out->reserve(n);
   for (uint32_t i = 0; i < n; i++) {
@@ -247,7 +255,7 @@ bool DecodeStatsBody(const Slice& body,
                      std::vector<std::pair<std::string, uint64_t>>* out) {
   Slice in = body;
   uint32_t n;
-  if (!GetFixed32(&in, &n)) return false;
+  if (!GetCount(&in, 12, &n)) return false;  // length prefix + u64 value
   out->clear();
   out->reserve(n);
   for (uint32_t i = 0; i < n; i++) {

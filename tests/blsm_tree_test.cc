@@ -380,7 +380,7 @@ TEST_P(BlsmTreeTest, StatsAreMaintained) {
   ASSERT_TRUE(tree_->Delete("a").ok());
   ASSERT_TRUE(tree_->WriteDelta("b", "+").ok());
   EXPECT_GE(tree_->stats().puts.load(), 1u);
-  EXPECT_GE(tree_->stats().gets.load(), 1u);
+  EXPECT_GE(tree_->stats().read.gets.load(), 1u);
   EXPECT_GE(tree_->stats().deletes.load(), 1u);
   EXPECT_GE(tree_->stats().deltas.load(), 1u);
 }
@@ -439,7 +439,7 @@ TEST(BlsmTreeBloomTest, InsertIfNotExistsIsSeekFreeWithBloom) {
   // free. Allow generous margin.
   EXPECT_LT(diff.read_seeks, 100u)
       << "insert-if-not-exists should be nearly seek-free";
-  EXPECT_GT(tree->stats().bloom_skips.load(), 0u);
+  EXPECT_GT(tree->stats().read.bloom_skips.load(), 0u);
 }
 
 TEST(BlsmTreeBloomTest, NoBloomOnLargestCostsSeeks) {

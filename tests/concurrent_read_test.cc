@@ -189,5 +189,97 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, ConcurrentReadTest,
                          ::testing::ValuesIn(kv::EngineNames()),
                          [](const auto& info) { return info.param; });
 
+// A record crossing from a memtable into a run must be readable from
+// exactly one slot of every published view. Deltas make a second copy
+// visible: a key written once with one delta reads back the delta applied
+// twice if a reader's view holds both the memtable and the run built from
+// it. Every key here gets exactly one kDeltaBytes delta, so any other value
+// size is a double (or lost) application. Small memtables make the
+// memtable-to-run crossings frequent.
+constexpr int kDeltaRounds = 10;
+constexpr uint64_t kDeltaWrites = 150000;
+constexpr size_t kDeltaBytes = 200;
+constexpr int kDeltaReaders = 2;
+
+std::string DeltaKey(uint64_t i) {
+  // Odd-multiplier scramble: a bijection on 32 bits, so keys stay fresh
+  // while landing all over the key space.
+  char buf[32];
+  snprintf(buf, sizeof(buf), "d-%010u",
+           static_cast<unsigned>(static_cast<uint32_t>(i * 2654435761ull)));
+  return buf;
+}
+
+class DeltaOnceTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(DeltaOnceTest, EveryReadAppliesEachDeltaOnce) {
+  const std::string& name = GetParam();
+  const std::string delta(kDeltaBytes, 'd');
+  for (int round = 0; round < kDeltaRounds; round++) {
+    MemEnv env;
+    kv::CommonOptions options;
+    options.env = &env;
+    options.write_buffer_bytes = 256 << 10;
+    std::unique_ptr<kv::Engine> engine;
+    ASSERT_TRUE(kv::Open(name, options, "db", &engine).ok());
+
+    std::atomic<uint64_t> written{0};
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> bad_reads{0};
+    std::atomic<uint64_t> reads{0};
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kDeltaReaders; r++) {
+      readers.emplace_back([&, r] {
+        Random rng(100 * static_cast<uint64_t>(round) + static_cast<uint64_t>(r));
+        std::string value;
+        std::vector<std::pair<std::string, std::string>> rows;
+        auto check = [&](const Status& s, size_t size) {
+          reads.fetch_add(1, std::memory_order_relaxed);
+          if (!s.ok() || size != kDeltaBytes) {
+            bad_reads.fetch_add(1, std::memory_order_relaxed);
+          }
+        };
+        for (uint64_t op = 0; !stop.load(std::memory_order_acquire); op++) {
+          uint64_t n = written.load(std::memory_order_acquire);
+          if (n == 0) continue;
+          if (op % 64 == 63) {
+            rows.clear();
+            Status s = engine->Scan(DeltaKey(rng.Uniform(n)), 8, &rows);
+            for (const auto& row : rows) check(s, row.second.size());
+          } else if (op % 16 == 15) {
+            std::vector<std::string> keys;
+            for (int k = 0; k < 8; k++) keys.push_back(DeltaKey(rng.Uniform(n)));
+            std::vector<Slice> slices(keys.begin(), keys.end());
+            std::vector<std::string> values;
+            std::vector<Status> st = engine->MultiGet(slices, &values);
+            for (size_t k = 0; k < keys.size(); k++) {
+              check(st[k], values[k].size());
+            }
+          } else {
+            Status s = engine->Get(DeltaKey(rng.Uniform(n)), &value);
+            check(s, value.size());
+          }
+        }
+      });
+    }
+    for (uint64_t i = 0; i < kDeltaWrites; i++) {
+      kv::WriteBatch batch;
+      batch.Merge(DeltaKey(i), delta);
+      ASSERT_TRUE(engine->Write(batch).ok());
+      written.store(i + 1, std::memory_order_release);
+    }
+    stop.store(true, std::memory_order_release);
+    for (auto& t : readers) t.join();
+    EXPECT_GT(reads.load(), 0u);
+    ASSERT_EQ(bad_reads.load(), 0u)
+        << name << " round " << round << ": " << bad_reads.load() << " of "
+        << reads.load() << " reads applied a delta other than once";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(LsmEngines, DeltaOnceTest,
+                         ::testing::Values("blsm", "multilevel"),
+                         [](const auto& info) { return info.param; });
+
 }  // namespace
 }  // namespace blsm

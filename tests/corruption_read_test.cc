@@ -1,4 +1,4 @@
-// Read paths against a corrupt block: MultiGet, Get, and ScanIterator must
+// Read paths against a corrupt block: MultiGet, Get, and scans must
 // surface Corruption (naming the damaged component) for affected keys — and
 // never crash, hang, or silently return wrong data. Paranoid open must
 // refuse the database outright.
@@ -111,15 +111,13 @@ TEST_F(CorruptionReadTest, ScanIteratorStopsWithCorruption) {
   std::unique_ptr<BlsmTree> tree;
   BuildAndCorruptBlsm(&tree);
 
-  auto it = tree->NewScanIterator();
-  size_t seen = 0;
-  for (it->SeekToFirst(); it->Valid(); it->Next()) {
-    seen++;
-    ASSERT_LE(seen, kNumKeys) << "iterator must terminate";
-  }
-  EXPECT_FALSE(it->status().ok()) << "scan over a corrupt block must fail";
-  EXPECT_TRUE(it->status().IsCorruption()) << it->status().ToString();
-  EXPECT_NE(it->status().ToString().find(".tree"), std::string::npos);
+  // A limit past the key count: only the damaged block can end the scan.
+  std::vector<std::pair<std::string, std::string>> rows;
+  Status s = tree->Scan("", kNumKeys + 1, &rows);
+  EXPECT_LT(rows.size(), kNumKeys) << "the scan stops at the damaged block";
+  EXPECT_FALSE(s.ok()) << "scan over a corrupt block must fail";
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(s.ToString().find(".tree"), std::string::npos);
 }
 
 TEST_F(CorruptionReadTest, ParanoidOpenRefusesCorruptDb) {
@@ -170,6 +168,26 @@ TEST(MultilevelCorruptionTest, GetAndScanSurfaceCorruption) {
     }
   }
   EXPECT_GT(corrupt, 0u);
+
+  // The batched path must surface the same per-key Corruption.
+  std::vector<std::string> key_storage;
+  for (uint64_t i = 0; i < kNumKeys; i++) key_storage.push_back(KeyFor(i));
+  std::vector<Slice> keys(key_storage.begin(), key_storage.end());
+  std::vector<std::string> values;
+  std::vector<Status> statuses = tree->MultiGet(keys, &values);
+  ASSERT_EQ(statuses.size(), keys.size());
+  size_t batch_corrupt = 0;
+  for (size_t i = 0; i < statuses.size(); i++) {
+    if (statuses[i].ok()) {
+      EXPECT_EQ(values[i], "value-" + std::to_string(i));
+    } else {
+      ASSERT_TRUE(statuses[i].IsCorruption()) << statuses[i].ToString();
+      EXPECT_NE(statuses[i].ToString().find(".run"), std::string::npos)
+          << statuses[i].ToString();
+      batch_corrupt++;
+    }
+  }
+  EXPECT_EQ(batch_corrupt, corrupt) << "MultiGet and Get agree per key";
 
   std::vector<std::pair<std::string, std::string>> rows;
   Status s = tree->Scan("", kNumKeys, &rows);

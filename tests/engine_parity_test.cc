@@ -185,11 +185,12 @@ TEST_P(EngineParityTest, RandomizedOpsMatchModel) {
     ASSERT_TRUE(stats.count("read.multiget_batches")) << name;
     EXPECT_GT(stats["read.multiget_batches"], 0u) << name;
     ASSERT_TRUE(stats.count("read.blocks_coalesced")) << name;
-  }
-  if (name == "blsm") {
-    // Whole-keyspace MultiGets over merged components must have reused
-    // decoded blocks for adjacent sorted probes.
+    // Whole-keyspace MultiGets over merged runs must have reused decoded
+    // blocks for adjacent sorted probes — both engines share one batched
+    // read path.
     EXPECT_GT(stats["read.blocks_coalesced"], 0u) << name;
+    ASSERT_TRUE(stats.count("read.run_probes")) << name;
+    EXPECT_GT(stats["read.run_probes"], 0u) << name;
   }
 }
 

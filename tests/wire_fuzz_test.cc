@@ -121,6 +121,26 @@ TEST(WireFuzzTest, ForgedCountsDoNotAllocate) {
   EXPECT_FALSE(server::DecodeStatsBody(body, &st));
 }
 
+TEST(WireFuzzTest, ForgedScanBodyCountDoesNotAllocate) {
+  // A SCAN response claiming 2^30 rows in a 4-byte body must decode to
+  // false before any reserve; an honest count with each row's bytes
+  // present still decodes.
+  std::vector<std::pair<std::string, std::string>> rows;
+  std::string body;
+  PutFixed32(&body, 0x40000000u);
+  EXPECT_FALSE(server::DecodeScanBody(body, &rows));
+
+  body.clear();
+  server::BeginCountedBody(&body, 2);
+  server::AppendScanResult(&body, "a", "1");
+  server::AppendScanResult(&body, "b", "");
+  ASSERT_TRUE(server::DecodeScanBody(body, &rows));
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[1].first, "b");
+  body.resize(body.size() - 4);  // truncate the last row's value prefix
+  EXPECT_FALSE(server::DecodeScanBody(body, &rows));
+}
+
 TEST(WireFuzzTest, FrameReaderHandlesArbitraryChunking) {
   Random rng(777);
   // A valid stream of frames delivered in random-sized chunks must yield

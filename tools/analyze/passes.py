@@ -462,7 +462,7 @@ PASS_STATS = "stats-keys"
 
 STATS_KEY_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)*$")
 # Helper functions whose string literals also emit stats keys.
-STATS_EMITTERS = {"Stats", "AddIoStats"}
+STATS_EMITTERS = {"Stats", "AddIoStats", "AddReadStats"}
 
 
 def collect_emitted_keys(model: Model):
