@@ -1,14 +1,12 @@
-// IO-backend micro-benchmark: measures what the batched/async Env layer buys
-// on the two hot paths that exploit it.
+// IO-backend micro-benchmark: measures what the batched posix Env buys on
+// the two hot paths that exploit it.
 //
 //   Phase 1 — cold-read MultiGet: one bLSM tree built once, then reopened
-//   read-only (no block cache) under three Env stacks:
+//   read-only (no block cache) under two Env stacks:
 //     unbatched   every block read is a lone pread, hints dropped
 //                 (UnbatchedEnv — the synchronous baseline)
 //     posix       MultiRead coalesces contiguous runs into preadv,
 //                 ReadAheadHint = fadvise(WILLNEED)
-//     uring       MultiRead = one batched io_uring submission
-//                 (skipped when the kernel lacks io_uring)
 //
 //   Phase 2 — compaction wall-clock: identical random loads into a
 //   multilevel tree, varying the Env stack and the parallel-output-build
@@ -24,7 +22,6 @@
 
 #include "harness.h"
 #include "io/unbatched_env.h"
-#include "io/uring_env.h"
 #include "util/random.h"
 #include "ycsb/generator.h"
 
@@ -220,17 +217,13 @@ int main() {
   const int kBatches = 300;
   const size_t kBatchSize = 64;
 
-  PrintHeader("IO backend: batched/async Env vs synchronous baseline");
+  PrintHeader("IO backend: batched posix Env vs synchronous baseline");
   printf("dataset: %" PRIu64 " records x 500 B\n", kRecords);
 
   JsonReport report("io_backend");
   Workspace ws("io_backend");
   Env* posix = Env::Default();
   UnbatchedEnv unbatched(posix);
-  const bool have_uring = UringEnv::Supported();
-  if (!have_uring) {
-    printf("io_uring unavailable on this kernel; uring rows skipped\n");
-  }
 
   // --- Phase 1: build once, probe under each stack -------------------------
   printf("\ncold-read MultiGet (%d batches x %zu scattered keys):\n",
@@ -246,11 +239,6 @@ int main() {
     }
     CheckOk(tree->CompactToBottom(), "compact to bottom");
   }
-  UringEnv uring(posix);
-  UringEnvOptions dopts;
-  dopts.direct_io = true;
-  UringEnv uring_direct(posix, dopts);
-
   std::vector<MultiGetPass> mg_passes;
   auto add_mg_mode = [&mg_passes](const char* mode, Env* env) {
     MultiGetPass pass;
@@ -260,12 +248,6 @@ int main() {
   };
   add_mg_mode("unbatched", &unbatched);
   add_mg_mode("posix", posix);
-  if (have_uring) {
-    add_mg_mode("uring", &uring);
-    // O_DIRECT bypasses the page cache entirely: every data-block read is a
-    // device read regardless of eviction — the honest cold-read floor.
-    add_mg_mode("uring-direct", &uring_direct);
-  }
   for (MultiGetPass& pass : mg_passes) {
     OpenMultiGetPass(&pass, ws.Path("blsm"));
   }
@@ -282,7 +264,7 @@ int main() {
     ReportMultiGetPass(pass, kBatches, kBatchSize, report);
     if (std::string(pass.mode) == "unbatched") {
       base_mg = pass.elapsed;
-    } else if (std::string(pass.mode) != "uring-direct") {
+    } else {
       best_mg = std::min(best_mg, pass.elapsed);
     }
   }
@@ -301,7 +283,6 @@ int main() {
       {"posix-serial", posix, 1},
       {"posix-parallel", posix, 2},
   };
-  if (have_uring) modes.push_back({"uring-parallel", &uring, 2});
   std::vector<CompactionResult> results(modes.size());
   // A deeper stack than phase 1's dataset: more output files per cascade
   // averages out per-fsync latency variance on shared hosts, which would

@@ -42,9 +42,6 @@ void AddIoStats(const EnvIoCounters* io,
       io != nullptr ? io->readahead_hints.load() : 0;
   (*stats)["io.readahead_hits"] =
       io != nullptr ? io->readahead_hits.load() : 0;
-  (*stats)["io.ring_writes"] = io != nullptr ? io->ring_writes.load() : 0;
-  (*stats)["io.direct_write_fallbacks"] =
-      io != nullptr ? io->direct_write_fallbacks.load() : 0;
 }
 
 // Shared read-path key block: both LSM engines fill the same ReadStats
@@ -94,9 +91,9 @@ class BlsmEngine : public Engine {
       override {
     return tree_->ReadModifyWrite(key, update);
   }
-  Status Scan(const ReadOptions& options, const Slice& start, size_t limit,
+  Status Scan(const ReadOptions& /*options*/, const Slice& start, size_t limit,
               std::vector<std::pair<std::string, std::string>>* out) override {
-    return tree_->Scan(start, limit, out, options.readahead_bytes);
+    return tree_->Scan(start, limit, out);
   }
   Status Flush() override { return tree_->Flush(); }
   void WaitIdle() override { tree_->WaitForMergeIdle(); }
@@ -170,9 +167,9 @@ class MultilevelEngine : public Engine {
       override {
     return tree_->ReadModifyWrite(key, update);
   }
-  Status Scan(const ReadOptions& options, const Slice& start, size_t limit,
+  Status Scan(const ReadOptions& /*options*/, const Slice& start, size_t limit,
               std::vector<std::pair<std::string, std::string>>* out) override {
-    return tree_->Scan(start, limit, out, options.readahead_bytes);
+    return tree_->Scan(start, limit, out);
   }
   Status Flush() override { return tree_->CompactAll(); }
   void WaitIdle() override { tree_->WaitForIdle(); }
@@ -286,11 +283,8 @@ class BTreeEngine : public Engine {
     if (read_only_) return Status::NotSupported("engine is read-only");
     return tree_->ReadModifyWrite(key, update);
   }
-  // The B-tree reads leaf pages through its buffer pool; there is no hint
-  // stream to cap, so the readahead knob is ignored.
-  Status Scan(const ReadOptions& options, const Slice& start, size_t limit,
+  Status Scan(const ReadOptions& /*options*/, const Slice& start, size_t limit,
               std::vector<std::pair<std::string, std::string>>* out) override {
-    (void)options;
     return tree_->Scan(start, limit, out);
   }
   Status Flush() override {

@@ -54,7 +54,7 @@ class RandomAccessFile {
   // individual requests fail, so one bad sub-read never poisons its
   // batchmates; callers must check each reqs[i].status. The default issues
   // the requests one synchronous Read at a time; environments that can
-  // batch (io_uring, preadv coalescing) override it.
+  // batch (posix preadv coalescing) override it.
   virtual Status MultiRead(ReadRequest* reqs, size_t n) const;
 
   // Advisory prefetch: the caller expects to Read [offset, offset+len)
@@ -74,9 +74,8 @@ class WritableFile {
   virtual Status Append(const Slice& data) = 0;
 
   // Gathered append: parts[0..n) land back to back, as if Append()ed in
-  // order. One call gives alignment-aware backends (O_DIRECT with an
-  // aligned buffer pool) the whole payload at once instead of fragment by
-  // fragment. Default: an Append loop.
+  // order. One call hands a backend the whole payload at once instead of
+  // fragment by fragment. Default: an Append loop.
   virtual Status AppendV(const Slice* parts, size_t n) {
     for (size_t i = 0; i < n; i++) {
       Status s = Append(parts[i]);
@@ -87,8 +86,7 @@ class WritableFile {
 
   // The append granularity this file performs best at; pre-sizing buffers
   // to a multiple of it lets the backend write without re-buffering. 1
-  // means "no preference" (plain buffered POSIX). Direct-IO backends
-  // report their sector/page alignment.
+  // means "no preference" (plain buffered POSIX).
   virtual size_t PreferredAppendAlignment() const { return 1; }
 
   virtual Status Flush() = 0;
@@ -109,7 +107,7 @@ class RandomRWFile {
 };
 
 // Cumulative data-path totals owned by a terminal Env implementation
-// (posix, uring, mem). Decorator Envs forward io_counters() to their base,
+// (posix, mem). Decorator Envs forward io_counters() to their base,
 // so whatever wrapper stack an engine runs on, Engine::Stats() reports the
 // totals of the environment that actually touched the bytes.
 struct EnvIoCounters {
@@ -123,10 +121,6 @@ struct EnvIoCounters {
   // ReadAheadHint actually fronted a later access.
   std::atomic<uint64_t> readahead_hits{0};
   std::atomic<uint64_t> readahead_hints{0};
-  // Writes submitted as ring SQEs (vs synchronous pwrite), and direct-IO
-  // writers that hit a mid-stream EINVAL and re-opened buffered.
-  std::atomic<uint64_t> ring_writes{0};
-  std::atomic<uint64_t> direct_write_fallbacks{0};
 };
 
 // Per-file helper for the readahead_hits counter: remembers the most recent

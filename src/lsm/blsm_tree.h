@@ -178,12 +178,9 @@ class BlsmTree {
 
   // Range scan from `start` (inclusive): up to `limit` user records, newest
   // versions, deltas applied, tombstones elided. Touches every component
-  // (§3.3): 2-3 seeks regardless of scan length. `readahead_bytes` caps the
-  // per-component readahead-hint window; 0 (default) leaves hints off, the
-  // right call on buffered storage (see kv::ReadOptions::readahead_bytes).
+  // (§3.3): 2-3 seeks regardless of scan length.
   Status Scan(const Slice& start, size_t limit,
-              std::vector<std::pair<std::string, std::string>>* out,
-              uint64_t readahead_bytes = 0);
+              std::vector<std::pair<std::string, std::string>>* out);
 
   // Pushes C0 into C1 and waits (one synchronous merge pass).
   Status Flush();

@@ -310,8 +310,8 @@ std::vector<Status> ReadPath::MultiGet(const ReadView& view,
 }
 
 Status ReadPath::Scan(const ReadView& view, const Slice& start, size_t limit,
-                      std::vector<std::pair<std::string, std::string>>* out,
-                      uint64_t readahead_bytes) const {
+                      std::vector<std::pair<std::string, std::string>>* out)
+    const {
   stats_->views_pinned.fetch_add(1, std::memory_order_relaxed);
   std::vector<std::unique_ptr<InternalIterator>> children;
   for (const ReadMemtable& slot : view.memtables) {
@@ -319,8 +319,8 @@ Status ReadPath::Scan(const ReadView& view, const Slice& start, size_t limit,
   }
   for (const ReadLevel& level : view.levels) {
     for (const ReadRun& run : level.runs) {
-      children.push_back(NewTreeComponentIterator(
-          run.reader, /*sequential=*/false, readahead_bytes));
+      children.push_back(
+          NewTreeComponentIterator(run.reader, /*sequential=*/false));
     }
   }
   ScanIterator it(std::make_unique<MergingIterator>(std::move(children)),

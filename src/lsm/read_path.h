@@ -101,11 +101,9 @@ class ReadPath {
                                std::vector<std::string>* values) const;
 
   // Up to `limit` user records from `start` (inclusive), merged across every
-  // slot of `view`; `readahead_bytes` caps each run iterator's readahead
-  // hints (0 = off).
+  // slot of `view`.
   Status Scan(const ReadView& view, const Slice& start, size_t limit,
-              std::vector<std::pair<std::string, std::string>>* out,
-              uint64_t readahead_bytes) const;
+              std::vector<std::pair<std::string, std::string>>* out) const;
 
  private:
   std::shared_ptr<const MergeOperator> merge_op_;

@@ -438,9 +438,8 @@ std::vector<Status> MultilevelTree::MultiGet(
 
 Status MultilevelTree::Scan(
     const Slice& start, size_t limit,
-    std::vector<std::pair<std::string, std::string>>* out,
-    uint64_t readahead_bytes) {
-  return read_path_.Scan(*PinView(), start, limit, out, readahead_bytes);
+    std::vector<std::pair<std::string, std::string>>* out) {
+  return read_path_.Scan(*PinView(), start, limit, out);
 }
 
 }  // namespace blsm::multilevel

@@ -172,11 +172,8 @@ class MultilevelTree {
       const std::function<std::string(const std::string& old, bool absent)>&
           update);
 
-  // `readahead_bytes` caps each run iterator's readahead-hint window;
-  // 0 (default) leaves hints off (see kv::ReadOptions::readahead_bytes).
   Status Scan(const Slice& start, size_t limit,
-              std::vector<std::pair<std::string, std::string>>* out,
-              uint64_t readahead_bytes = 0);
+              std::vector<std::pair<std::string, std::string>>* out);
 
   // Flushes the memtable and compacts until every level is within target.
   Status CompactAll() EXCLUDES(mu_);

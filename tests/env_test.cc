@@ -1,6 +1,5 @@
 #include "io/env.h"
 
-#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -11,7 +10,6 @@
 #include "io/fault_injection_env.h"
 #include "io/mem_env.h"
 #include "io/unbatched_env.h"
-#include "io/uring_env.h"
 
 namespace blsm {
 namespace {
@@ -352,7 +350,7 @@ TEST(FaultInjectionMultiReadTest, FaultedSubReadFailsOnlyThatRequest) {
   }
 }
 
-// --- real-filesystem envs: posix and io_uring -------------------------------
+// --- real-filesystem env: posix --------------------------------------------
 
 class RealFsEnvTest : public ::testing::Test {
  protected:
@@ -387,247 +385,64 @@ TEST_F(RealFsEnvTest, PosixMultiReadContract) {
   EXPECT_EQ(reqs[2].result.ToString(), "89");
 }
 
-TEST_F(RealFsEnvTest, UringMatchesPosixByteForByte) {
-  if (!UringEnv::Supported()) {
-    GTEST_SKIP() << "io_uring unavailable on this kernel";
-  }
-  Env* posix = Env::Default();
-  UringEnv uring(posix);
-  ASSERT_TRUE(uring.using_uring());
-
-  // A file larger than one batch, with unaligned probe offsets.
+// Every MultiRead result must equal the file's own bytes at that range:
+// unaligned and overlapping probes (single preads), and a contiguous run
+// longer than one preadv's iovec limit that also straddles EOF.
+TEST_F(RealFsEnvTest, PosixMultiReadMatchesFileBytes) {
+  Env* env = Env::Default();
   std::string blob;
   blob.reserve(300000);
   for (int i = 0; blob.size() < 300000; i++) blob += std::to_string(i);
-  ASSERT_TRUE(WriteStringToFile(posix, blob, dir_ + "/f", false).ok());
-
-  std::unique_ptr<RandomAccessFile> pf, uf;
-  ASSERT_TRUE(posix->NewRandomAccessFile(dir_ + "/f", &pf).ok());
-  ASSERT_TRUE(uring.NewRandomAccessFile(dir_ + "/f", &uf).ok());
+  ASSERT_TRUE(WriteStringToFile(env, blob, dir_ + "/f", false).ok());
+  std::unique_ptr<RandomAccessFile> f;
+  ASSERT_TRUE(env->NewRandomAccessFile(dir_ + "/f", &f).ok());
+  auto expected = [&](const ReadRequest& r) {
+    uint64_t off = std::min<uint64_t>(r.offset, blob.size());
+    return blob.substr(off, std::min<uint64_t>(r.len, blob.size() - off));
+  };
+  const EnvIoCounters* io = env->io_counters();
 
   const uint64_t offsets[] = {0, 1, 4095, 4096, 65537, 131071, 299990};
   constexpr size_t kLen = 1000;
-  std::vector<std::string> pscratch(7, std::string(kLen, 0));
-  std::vector<std::string> uscratch(7, std::string(kLen, 0));
-  ReadRequest preqs[7], ureqs[7];
+  std::vector<std::string> scratch(7, std::string(kLen, 0));
+  ReadRequest reqs[7];
   for (int i = 0; i < 7; i++) {
-    preqs[i] = {offsets[i], kLen, pscratch[i].data(), Slice(), Status::OK()};
-    ureqs[i] = {offsets[i], kLen, uscratch[i].data(), Slice(), Status::OK()};
+    reqs[i] = {offsets[i], kLen, scratch[i].data(), Slice(), Status::OK()};
   }
-  ASSERT_TRUE(pf->MultiRead(preqs, 7).ok());
-  ASSERT_TRUE(uf->MultiRead(ureqs, 7).ok());
+  uint64_t batches = io->multiread_batches.load();
+  uint64_t requests = io->multiread_requests.load();
+  ASSERT_TRUE(f->MultiRead(reqs, 7).ok());
   for (int i = 0; i < 7; i++) {
-    ASSERT_TRUE(preqs[i].status.ok()) << i;
-    ASSERT_TRUE(ureqs[i].status.ok()) << i;
-    EXPECT_EQ(preqs[i].result.ToString(), ureqs[i].result.ToString())
+    ASSERT_TRUE(reqs[i].status.ok()) << i;
+    EXPECT_EQ(reqs[i].result.ToString(), expected(reqs[i]))
         << "offset " << offsets[i];
   }
-  EXPECT_EQ(uring.io_counters()->multiread_batches.load(), 1u);
-  EXPECT_EQ(uring.io_counters()->multiread_requests.load(), 7u);
-}
+  EXPECT_EQ(io->multiread_batches.load() - batches, 1u);
+  EXPECT_EQ(io->multiread_requests.load() - requests, 7u);
 
-TEST_F(RealFsEnvTest, UringDirectIoUnalignedRequests) {
-  if (!UringEnv::Supported()) {
-    GTEST_SKIP() << "io_uring unavailable on this kernel";
+  // 150 back-to-back requests of odd lengths from offset 1: the run splits
+  // into preadvs of at most 64 requests, and its last ones pass EOF.
+  constexpr size_t kRun = 150;
+  std::vector<std::string> run_scratch;
+  std::vector<ReadRequest> run(kRun);
+  uint64_t at = 1;
+  for (size_t k = 0; k < kRun; k++) {
+    size_t len = 2003 + k;
+    run_scratch.emplace_back(len, 0);
+    run[k] = {at, len, run_scratch[k].data(), Slice(), Status::OK()};
+    at += len;
   }
-  // Byte-granular requests at deliberately misaligned offsets/lengths must
-  // come back exact even when served via sector-aligned O_DIRECT windows.
-  // On filesystems that reject O_DIRECT (tmpfs) the file silently reopens
-  // buffered — the results must be identical either way.
-  UringEnvOptions opts;
-  opts.direct_io = true;
-  UringEnv uring(Env::Default(), opts);
-  ASSERT_TRUE(uring.using_uring());
-
-  std::string blob(200000, 0);
-  for (size_t i = 0; i < blob.size(); i++) {
-    blob[i] = static_cast<char>('a' + (i % 23));
+  ASSERT_GT(at, blob.size());
+  batches = io->multiread_batches.load();
+  requests = io->multiread_requests.load();
+  ASSERT_TRUE(f->MultiRead(run.data(), kRun).ok());
+  for (size_t k = 0; k < kRun; k++) {
+    ASSERT_TRUE(run[k].status.ok()) << k;
+    EXPECT_EQ(run[k].result.ToString(), expected(run[k]))
+        << "request " << k << " offset " << run[k].offset;
   }
-  ASSERT_TRUE(WriteStringToFile(Env::Default(), blob, dir_ + "/d", false).ok());
-
-  std::unique_ptr<RandomAccessFile> f;
-  ASSERT_TRUE(uring.NewRandomAccessFile(dir_ + "/d", &f).ok());
-  struct Probe { uint64_t off; size_t len; };
-  const Probe probes[] = {
-      {1, 10},          // misaligned head
-      {4093, 10},       // straddles a sector boundary
-      {8192, 4096},     // exactly aligned
-      {100001, 70000},  // bigger than one pool slab -> one-shot path
-      {199995, 100},    // EOF-short
-  };
-  std::vector<std::string> scratch;
-  for (const Probe& p : probes) scratch.emplace_back(p.len, 0);
-  ReadRequest reqs[5];
-  for (int i = 0; i < 5; i++) {
-    reqs[i] = {probes[i].off, probes[i].len, scratch[i].data(), Slice(),
-               Status::OK()};
-  }
-  ASSERT_TRUE(f->MultiRead(reqs, 5).ok());
-  for (int i = 0; i < 5; i++) {
-    ASSERT_TRUE(reqs[i].status.ok()) << "probe " << i;
-    size_t expect_len =
-        std::min<uint64_t>(probes[i].len, blob.size() - probes[i].off);
-    ASSERT_EQ(reqs[i].result.size(), expect_len) << "probe " << i;
-    EXPECT_EQ(reqs[i].result.ToString(),
-              blob.substr(probes[i].off, expect_len))
-        << "probe " << i;
-  }
-}
-
-TEST_F(RealFsEnvTest, UringWritableFileRoundTrip) {
-  if (!UringEnv::Supported()) {
-    GTEST_SKIP() << "io_uring unavailable on this kernel";
-  }
-  for (bool direct : {false, true}) {
-    UringEnvOptions opts;
-    opts.direct_io = direct;
-    UringEnv uring(Env::Default(), opts);
-    std::string fname =
-        dir_ + (direct ? "/w_direct" : "/w_buffered");
-    // An odd size forces the direct path's padded-tail handling.
-    std::string payload(300001, 0);
-    for (size_t i = 0; i < payload.size(); i++) {
-      payload[i] = static_cast<char>(i * 131 % 251);
-    }
-    {
-      std::unique_ptr<WritableFile> w;
-      ASSERT_TRUE(uring.NewWritableFile(fname, &w).ok());
-      // Fragmented appends: tail rewrites exercise the staging buffer.
-      size_t at = 0;
-      const size_t frags[] = {1, 4095, 4096, 100000, 65536, 130273};
-      for (size_t frag : frags) {
-        size_t n = std::min(frag, payload.size() - at);
-        ASSERT_TRUE(w->Append(Slice(payload.data() + at, n)).ok());
-        at += n;
-        ASSERT_TRUE(w->Flush().ok());
-      }
-      ASSERT_EQ(at, payload.size());
-      ASSERT_TRUE(w->Sync().ok());
-      ASSERT_TRUE(w->Close().ok());
-    }
-    uint64_t size = 0;
-    ASSERT_TRUE(uring.GetFileSize(fname, &size).ok());
-    EXPECT_EQ(size, payload.size()) << (direct ? "direct" : "buffered");
-    std::string back;
-    ASSERT_TRUE(ReadFileToString(Env::Default(), fname, &back).ok());
-    EXPECT_TRUE(back == payload) << (direct ? "direct" : "buffered");
-  }
-}
-
-// True when this directory's filesystem accepts O_DIRECT opens (ext4 yes,
-// tmpfs no); tests that assert direct-path behavior skip their strong
-// assertions on filesystems where the env legitimately downgrades at open.
-bool DirectIoSupported(const std::string& dir) {
-#if defined(O_DIRECT)
-  std::string probe = dir + "/direct_probe";
-  int fd = ::open(probe.c_str(), O_WRONLY | O_CREAT | O_DIRECT | O_CLOEXEC,
-                  0644);
-  if (fd >= 0) {
-    ::close(fd);
-    Env::Default()->RemoveFile(probe).IgnoreError("probe cleanup");
-    return true;
-  }
-#endif
-  return false;
-}
-
-TEST_F(RealFsEnvTest, UringDirectWritesAreRingSubmitted) {
-  if (!UringEnv::Supported()) {
-    GTEST_SKIP() << "io_uring unavailable on this kernel";
-  }
-  if (!DirectIoSupported(dir_)) {
-    GTEST_SKIP() << "filesystem rejects O_DIRECT";
-  }
-  UringEnvOptions opts;
-  opts.direct_io = true;
-  UringEnv uring(Env::Default(), opts);
-  ASSERT_TRUE(uring.using_uring());
-
-  std::string payload(600000, 0);
-  for (size_t i = 0; i < payload.size(); i++) {
-    payload[i] = static_cast<char>(i * 37 % 251);
-  }
-  std::string fname = dir_ + "/ring_write";
-  {
-    std::unique_ptr<WritableFile> w;
-    ASSERT_TRUE(uring.NewWritableFile(fname, &w).ok());
-    ASSERT_TRUE(w->Append(payload).ok());
-    ASSERT_TRUE(w->Sync().ok());
-    ASSERT_TRUE(w->Close().ok());
-  }
-  std::string back;
-  ASSERT_TRUE(ReadFileToString(Env::Default(), fname, &back).ok());
-  EXPECT_TRUE(back == payload);
-  // 600000 bytes = two full 256 KiB staging buffers plus a padded tail, all
-  // of which must have been SQE submissions, not pwrites.
-  EXPECT_GE(uring.io_counters()->ring_writes.load(), 3u);
-  EXPECT_EQ(uring.io_counters()->direct_write_fallbacks.load(), 0u);
-}
-
-TEST_F(RealFsEnvTest, UringDirectWriteMidStreamEinvalFallback) {
-  if (!UringEnv::Supported()) {
-    GTEST_SKIP() << "io_uring unavailable on this kernel";
-  }
-  if (!DirectIoSupported(dir_)) {
-    GTEST_SKIP() << "filesystem rejects O_DIRECT";
-  }
-  // Forge EINVAL on the Nth direct write: N=0 fails before anything is on
-  // disk, N=1 fails the padded-tail write of the first Sync, N=2 fails a
-  // full-buffer flush that follows a padded tail (the re-windowing case —
-  // the padded sector must be replaced by exact bytes).
-  for (int fail_at : {0, 1, 2}) {
-    UringEnvOptions opts;
-    opts.direct_io = true;
-    opts.direct_write_einval_after = fail_at;
-    UringEnv uring(Env::Default(), opts);
-    ASSERT_TRUE(uring.using_uring());
-
-    std::string payload(700001, 0);
-    for (size_t i = 0; i < payload.size(); i++) {
-      payload[i] = static_cast<char>((i * 131 + fail_at) % 249);
-    }
-    std::string fname = dir_ + "/einval_" + std::to_string(fail_at);
-    {
-      std::unique_ptr<WritableFile> w;
-      ASSERT_TRUE(uring.NewWritableFile(fname, &w).ok());
-      // First window: one full staging buffer plus an odd tail, then a Sync
-      // that pads the tail.
-      ASSERT_TRUE(w->Append(Slice(payload.data(), 300000)).ok());
-      ASSERT_TRUE(w->Sync().ok());
-      // Keep appending after the (possible) downgrade.
-      ASSERT_TRUE(
-          w->Append(Slice(payload.data() + 300000, payload.size() - 300000))
-              .ok());
-      ASSERT_TRUE(w->Sync().ok());
-      ASSERT_TRUE(w->Close().ok());
-    }
-    uint64_t size = 0;
-    ASSERT_TRUE(uring.GetFileSize(fname, &size).ok());
-    EXPECT_EQ(size, payload.size()) << "fail_at=" << fail_at;
-    std::string back;
-    ASSERT_TRUE(ReadFileToString(Env::Default(), fname, &back).ok());
-    EXPECT_TRUE(back == payload) << "fail_at=" << fail_at;
-    EXPECT_EQ(uring.io_counters()->direct_write_fallbacks.load(), 1u)
-        << "fail_at=" << fail_at;
-  }
-}
-
-TEST_F(RealFsEnvTest, UringFallsThroughWhenUnsupported) {
-  // Regardless of kernel support, the env must behave identically through
-  // the generic interface; this exercises the pass-through plumbing (and on
-  // kernels without io_uring, the whole stub).
-  UringEnv uring(Env::Default());
-  ASSERT_TRUE(
-      WriteStringToFile(&uring, "payload", dir_ + "/p", true).ok());
-  std::string back;
-  ASSERT_TRUE(ReadFileToString(&uring, dir_ + "/p", &back).ok());
-  EXPECT_EQ(back, "payload");
-  std::unique_ptr<RandomAccessFile> f;
-  ASSERT_TRUE(uring.NewRandomAccessFile(dir_ + "/p", &f).ok());
-  char scratch[8];
-  ReadRequest req = {0, 7, scratch, Slice(), Status::OK()};
-  ASSERT_TRUE(f->MultiRead(&req, 1).ok());
-  EXPECT_EQ(req.result.ToString(), "payload");
+  EXPECT_EQ(io->multiread_batches.load() - batches, 1u);
+  EXPECT_EQ(io->multiread_requests.load() - requests, kRun);
 }
 
 TEST(WritableFileAppendVTest, MatchesSequentialAppends) {

@@ -205,21 +205,8 @@ TEST_F(TreeTest, ScanReadaheadDefaultsOff) {
   int n = 0;
   for (it->SeekToFirst(); it->Valid(); it->Next()) n++;
   EXPECT_EQ(n, 5000);
-  // Per-scan readahead hints are opt-in (ReadOptions::readahead_bytes);
-  // the default iterator must not issue any.
+  // Only merge (sequential) iterators hint; a scan iterator must not.
   EXPECT_EQ(io->readahead_hints.load(), before);
-}
-
-TEST_F(TreeTest, ScanReadaheadKnobEnablesHints) {
-  auto reader = BuildTree(5000);
-  const EnvIoCounters* io = counting_env_.io_counters();
-  uint64_t before = io->readahead_hints.load();
-  auto it = reader->NewIterator(/*sequential=*/false,
-                                /*scan_readahead_bytes=*/64 << 10);
-  int n = 0;
-  for (it->SeekToFirst(); it->Valid(); it->Next()) n++;
-  EXPECT_EQ(n, 5000);
-  EXPECT_GT(io->readahead_hints.load(), before);
 }
 
 TEST_F(TreeTest, SequentialIteratorHintsWithoutKnob) {
