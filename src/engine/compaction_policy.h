@@ -34,7 +34,7 @@ namespace blsm::engine {
 
 // One sorted run as the policy sees it: identity, size, and key range.
 struct CompactionRun {
-  uint64_t number = 0;  // file number; the tree maps it back to a FileMeta
+  uint64_t number = 0;  // file number; the tree maps it back to a Run
   uint64_t bytes = 0;
   std::string smallest;  // user keys
   std::string largest;

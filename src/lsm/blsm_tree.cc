@@ -4,10 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 
-#include "lsm/collapse.h"
-#include "sstree/tree_builder.h"
 
 namespace blsm {
 
@@ -82,24 +79,21 @@ Status BlsmTree::OpenImpl() {
     next_file_number_ = manifest.next_file_number;
 
     for (const auto& entry : manifest.components) {
-      ComponentPtr comp;
-      s = OpenComponent(entry.file_number, &comp, options_.use_bloom);
+      RunPtr run;
+      s = Run::Open(env_, cache_.get(), entry.file_number,
+                    Manifest::TreeFileName(dir_, entry.file_number),
+                    options_.background.paranoid_checks, &run);
       if (!s.ok()) return s;
-      if (options_.background.paranoid_checks) {
-        uint64_t bad_offset = 0;
-        s = comp->reader->VerifyAllBlocks(&bad_offset);
-        if (!s.ok()) return s;
-      }
       switch (entry.slot) {
         case Manifest::Slot::kC1:
-          c1_ = comp;
-          c1_data_bytes_.store(comp->reader->data_bytes());
+          c1_ = run;
+          c1_data_bytes_.store(run->data_bytes);
           break;
         case Manifest::Slot::kC1Prime:
-          c1_prime_ = comp;
+          c1_prime_ = run;
           break;
         case Manifest::Slot::kC2:
-          c2_ = comp;
+          c2_ = run;
           break;
       }
     }
@@ -108,21 +102,13 @@ Status BlsmTree::OpenImpl() {
   // Garbage from merges in flight at crash time: any .tree file the manifest
   // does not reference.
   if (!options_.read_only) {
-    std::vector<std::string> children;
-    if (env_->GetChildren(dir_, &children).ok()) {
-      for (const std::string& name : children) {
-        if (name.size() > 5 && name.substr(name.size() - 5) == ".tree") {
-          uint64_t num = strtoull(name.c_str(), nullptr, 10);
-          bool referenced = false;
-          for (const auto& entry : manifest.components) {
-            if (entry.file_number == num) referenced = true;
-          }
-          if (!referenced && env_->RemoveFile(dir_ + "/" + name).ok()) {
-            stats_.orphans_scavenged.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      }
+    std::vector<uint64_t> live;
+    for (const auto& entry : manifest.components) {
+      live.push_back(entry.file_number);
     }
+    stats_.orphans_scavenged.fetch_add(
+        RemoveOrphanRuns(env_, dir_, ".tree", live),
+        std::memory_order_relaxed);
   }
 
   runner_ =
@@ -181,20 +167,6 @@ Status BlsmTree::OpenImpl() {
   return Status::OK();
 }
 
-Status BlsmTree::OpenComponent(uint64_t file_number, ComponentPtr* out,
-                               bool with_bloom_expected) const {
-  (void)with_bloom_expected;
-  auto comp = std::make_shared<Component>();
-  comp->env = env_;
-  comp->file_number = file_number;
-  comp->fname = Manifest::TreeFileName(dir_, file_number);
-  Status s = sstree::TreeReader::Open(env_, cache_.get(), file_number,
-                                      comp->fname, &comp->reader);
-  if (!s.ok()) return s;
-  *out = std::move(comp);
-  return Status::OK();
-}
-
 BlsmTree::~BlsmTree() {
   if (runner_ != nullptr) runner_->Stop();
   if (frontend_ != nullptr) {
@@ -220,7 +192,7 @@ void BlsmTree::PublishView() {
   for (const std::shared_ptr<MemTable>& mem : {pair->active, pair->frozen}) {
     if (mem != nullptr) view->memtables.push_back({mem, mem == merged_mem_});
   }
-  for (const ComponentPtr& comp : {c1_, c1_prime_, c2_}) {
+  for (const RunPtr& comp : {c1_, c1_prime_, c2_}) {
     if (comp == nullptr) continue;
     ReadRun run;
     run.reader = comp->reader.get();
@@ -244,9 +216,9 @@ void BlsmTree::PublishView() {
 double BlsmTree::CurrentR() const {
   // Variable R (§2.3.1): with a three-level tree, R = sqrt(|data| / |C0|).
   uint64_t disk = 0;
-  if (c1_ != nullptr) disk += c1_->reader->data_bytes();
-  if (c1_prime_ != nullptr) disk += c1_prime_->reader->data_bytes();
-  if (c2_ != nullptr) disk += c2_->reader->data_bytes();
+  for (const RunPtr& comp : {c1_, c1_prime_, c2_}) {
+    if (comp != nullptr) disk += comp->data_bytes;
+  }
   double r = std::sqrt(static_cast<double>(disk + options_.c0_target_bytes) /
                        static_cast<double>(options_.c0_target_bytes));
   return std::max(options_.min_r, r);
@@ -279,9 +251,9 @@ SchedulerState BlsmTree::ComputeSchedulerState() const {
 uint64_t BlsmTree::OnDiskBytes() const {
   util::MutexLock l(&mu_);
   uint64_t total = 0;
-  if (c1_ != nullptr) total += c1_->reader->data_bytes();
-  if (c1_prime_ != nullptr) total += c1_prime_->reader->data_bytes();
-  if (c2_ != nullptr) total += c2_->reader->data_bytes();
+  for (const RunPtr& comp : {c1_, c1_prime_, c2_}) {
+    if (comp != nullptr) total += comp->data_bytes;
+  }
   return total;
 }
 
@@ -344,17 +316,18 @@ Status BlsmTree::WriteImpl(const Slice& key, RecordType type,
   return frontend_->Write(key, type, value);
 }
 
-void BlsmTree::MaybeScheduleMerge1() {
+bool BlsmTree::C0Full() const {
   uint64_t live = frontend_->ActiveLiveBytes();
-  bool trigger;
   if (options_.snowshovel) {
-    trigger = live >= static_cast<uint64_t>(
-                          options_.low_watermark *
-                          static_cast<double>(options_.c0_target_bytes));
-  } else {
-    trigger = frontend_->HasFrozen() || live >= options_.c0_target_bytes;
+    return live >= static_cast<uint64_t>(
+                       options_.low_watermark *
+                       static_cast<double>(options_.c0_target_bytes));
   }
-  if (trigger) runner_->Notify();
+  return frontend_->HasFrozen() || live >= options_.c0_target_bytes;
+}
+
+void BlsmTree::MaybeScheduleMerge1() {
+  if (C0Full()) runner_->Notify();
 }
 
 Status BlsmTree::Put(const Slice& key, const Slice& value) {
@@ -449,15 +422,7 @@ bool BlsmTree::Merge1Pending() {
     util::MutexLock l(&mu_);
     requested = merge1_done_gen_ < merge1_request_gen_;
   }
-  uint64_t live = frontend_->ActiveLiveBytes();
-  if (options_.snowshovel) {
-    return requested ||
-           live >= static_cast<uint64_t>(
-                       options_.low_watermark *
-                       static_cast<double>(options_.c0_target_bytes));
-  }
-  return requested || frontend_->HasFrozen() ||
-         live >= options_.c0_target_bytes;
+  return requested || C0Full();
 }
 
 bool BlsmTree::Merge2Pending() {
@@ -465,12 +430,45 @@ bool BlsmTree::Merge2Pending() {
   return c1_prime_ != nullptr;
 }
 
+Status BlsmTree::WriteMergeRun(
+    int which, std::vector<std::unique_ptr<InternalIterator>> inputs,
+    RunWriteResult* result) {
+  RunWriterOptions w;
+  w.env = env_;
+  w.cache = cache_.get();
+  w.new_file_number = [this] {
+    util::MutexLock l(&mu_);
+    return next_file_number_++;
+  };
+  w.file_name = [this](uint64_t number) {
+    return Manifest::TreeFileName(dir_, number);
+  };
+  w.block_size = options_.block_size;
+  w.bloom_bits_per_key = options_.bloom_bits_per_key;
+  // §3.1.2: the largest component's filter is what makes "insert if not
+  // exists" seek-free; bloom_on_largest=false is the ablation.
+  w.build_bloom =
+      options_.use_bloom && (which == 1 || options_.bloom_on_largest);
+  w.merge_op = merge_op_.get();
+  w.bottom = which == 2;
+  w.write_behind = true;
+  w.yield_every = options_.merge_batch_entries;
+  w.yield = [this, which] { return MergePauseWait(which); };
+  w.consumed = which == 1 ? &progress1_.bytes_read : &progress2_.bytes_read;
+  Status s = WriteRuns(w, std::move(inputs), result);
+  if (s.ok() && !result->abandoned) {
+    (which == 1 ? stats_.merge1_bytes_out : stats_.merge2_bytes_out)
+        .fetch_add(result->bytes_written, std::memory_order_relaxed);
+  }
+  return s;
+}
+
 Status BlsmTree::RunMerge1Pass() {
   // Reading the request generation BEFORE snapshotting the inputs is what
   // makes the Flush() handshake sound: everything written before the request
   // was issued is in the inputs this pass merges.
   uint64_t pass_gen;
-  ComponentPtr old_c1;
+  RunPtr old_c1;
   {
     util::MutexLock l(&mu_);
     pass_gen = merge1_request_gen_;
@@ -490,7 +488,7 @@ Status BlsmTree::RunMerge1Pass() {
   if (input_mem == nullptr) return Status::OK();
 
   uint64_t input_total = input_mem->LiveBytes() +
-                         (old_c1 != nullptr ? old_c1->reader->data_bytes() : 0);
+                         (old_c1 != nullptr ? old_c1->data_bytes : 0);
   if (input_total == 0) {
     // Nothing to do; clear C0' so the job does not spin, and count the empty
     // pass toward the flush handshake (a flush of an empty tree succeeds).
@@ -503,87 +501,15 @@ Status BlsmTree::RunMerge1Pass() {
   progress1_.input_total.store(input_total);
   progress1_.active.store(true);
 
-  uint64_t file_number;
-  {
-    util::MutexLock l(&mu_);
-    file_number = next_file_number_++;
-  }
-  std::string fname = Manifest::TreeFileName(dir_, file_number);
-  sstree::TreeBuilderOptions bopts;
-  bopts.block_size = options_.block_size;
-  bopts.bloom_bits_per_key = options_.bloom_bits_per_key;
-  bopts.build_bloom = options_.use_bloom;
-  // Write-behind: sealed blocks are appended on a single ordered worker so
-  // the merge loop overlaps CPU (merge + compress/checksum) with file I/O.
-  // One worker keeps the append order the file format requires.
-  engine::TaskPipeline append_pipeline(/*max_concurrency=*/1);
-  bopts.append_executor = &append_pipeline;
-  sstree::TreeBuilder builder(env_, fname, bopts);
-  Status s = builder.Open();
-  if (!s.ok()) {
-    progress1_.active.store(false);
-    return s;
-  }
-
-  std::vector<std::unique_ptr<InternalIterator>> children;
-  children.push_back(NewMemTableIterator(input_mem));
+  std::vector<std::unique_ptr<InternalIterator>> inputs;
+  inputs.push_back(NewMemTableIterator(input_mem));
   if (old_c1 != nullptr) {
-    children.push_back(
+    inputs.push_back(
         NewTreeComponentIterator(old_c1->reader.get(), /*sequential=*/true));
   }
-  MergingIterator merged(std::move(children));
-  merged.SeekToFirst();
-
-  uint64_t consumed = 0;
-  size_t since_check = 0;
-  std::string out_ikey;
-  while (merged.Valid()) {
-    GroupResult group;
-    s = CollapseGroup(&merged, merge_op_.get(), /*bottom=*/false, &consumed,
-                      &group);
-    if (!s.ok()) break;
-    progress1_.bytes_read.store(std::min(consumed, input_total));
-    if (group.emit) {
-      out_ikey.clear();
-      AppendInternalKey(&out_ikey, group.user_key, group.seq, group.type);
-      s = builder.Add(out_ikey, group.value);
-      if (!s.ok()) break;
-    }
-    if (++since_check >= options_.merge_batch_entries) {
-      since_check = 0;
-      if (!MergePauseWait(1)) {  // shutdown
-        builder.Abandon();
-        env_->RemoveFile(fname).IgnoreError(
-            "partial merge output; orphan scavenge reclaims it");
-        progress1_.active.store(false);
-        return Status::OK();
-      }
-    }
-  }
-  if (s.ok()) s = merged.status();
-  if (!s.ok()) {
-    builder.Abandon();
-    env_->RemoveFile(fname).IgnoreError(
-        "failed merge output; orphan scavenge reclaims it");
-    progress1_.active.store(false);
-    return s;
-  }
-
-  s = builder.Finish();
-  if (!s.ok()) {
-    env_->RemoveFile(fname).IgnoreError(
-        "failed merge output; orphan scavenge reclaims it");
-    progress1_.active.store(false);
-    return s;
-  }
-  stats_.merge1_bytes_out.fetch_add(builder.file_size(),
-                                    std::memory_order_relaxed);
-
-  ComponentPtr fresh;
-  s = OpenComponent(file_number, &fresh, options_.use_bloom);
-  if (!s.ok()) {
-    env_->RemoveFile(fname).IgnoreError(
-        "failed merge output; orphan scavenge reclaims it");
+  RunWriteResult out;
+  Status s = WriteMergeRun(1, std::move(inputs), &out);
+  if (!s.ok() || out.abandoned) {  // abandoned: shutdown
     progress1_.active.store(false);
     return s;
   }
@@ -591,16 +517,16 @@ Status BlsmTree::RunMerge1Pass() {
   // Install, then decide the hand-off (promotion of C1 to C1'). The
   // manifest write (an fsync) happens after mu_ is released; the replaced
   // component is unlinked only once the new manifest is durable.
-  Manifest manifest;
+  std::string manifest;
   uint64_t manifest_version;
   {
     util::MutexLock l(&mu_);
-    c1_ = fresh;
-    c1_data_bytes_.store(fresh->reader->data_bytes());
+    c1_ = out.runs.empty() ? nullptr : out.runs[0];
+    c1_data_bytes_.store(c1_ != nullptr ? c1_->data_bytes : 0);
 
     double r = CurrentR();
     bool promote =
-        c1_prime_ == nullptr &&
+        c1_prime_ == nullptr && c1_ != nullptr &&
         (force_promote_.load() ||
          c1_data_bytes_.load() >=
              static_cast<uint64_t>(
@@ -623,7 +549,8 @@ Status BlsmTree::RunMerge1Pass() {
   // (via on_memtable_change), so the place a reader finds a record goes
   // "component (memtable slot hiding it)" -> "component only".
   if (!options_.snowshovel) frontend_->DropFrozen();
-  s = SaveManifest(manifest, manifest_version);
+  s = manifest_writer_.Save(env_, Manifest::FileName(dir_), manifest,
+                            manifest_version);
   if (!s.ok()) {
     progress1_.active.store(false);
     return s;
@@ -645,7 +572,7 @@ Status BlsmTree::RunMerge1Pass() {
 }
 
 Status BlsmTree::RunMerge2Pass() {
-  ComponentPtr input_c1p, old_c2;
+  RunPtr input_c1p, old_c2;
   {
     util::MutexLock l(&mu_);
     input_c1p = c1_prime_;
@@ -653,104 +580,32 @@ Status BlsmTree::RunMerge2Pass() {
   }
   if (input_c1p == nullptr) return Status::OK();
 
-  uint64_t input_total = input_c1p->reader->data_bytes() +
-                         (old_c2 != nullptr ? old_c2->reader->data_bytes() : 0);
+  uint64_t input_total =
+      input_c1p->data_bytes + (old_c2 != nullptr ? old_c2->data_bytes : 0);
   progress2_.bytes_read.store(0);
   progress2_.input_total.store(std::max<uint64_t>(input_total, 1));
   progress2_.active.store(true);
 
-  uint64_t file_number;
-  {
-    util::MutexLock l(&mu_);
-    file_number = next_file_number_++;
-  }
-  std::string fname = Manifest::TreeFileName(dir_, file_number);
-  sstree::TreeBuilderOptions bopts;
-  bopts.block_size = options_.block_size;
-  bopts.bloom_bits_per_key = options_.bloom_bits_per_key;
-  // §3.1.2: the largest component's filter is what makes "insert if not
-  // exists" seek-free; bloom_on_largest=false is the ablation.
-  bopts.build_bloom = options_.use_bloom && options_.bloom_on_largest;
-  // Same write-behind arrangement as the C0→C1 merge above.
-  engine::TaskPipeline append_pipeline(/*max_concurrency=*/1);
-  bopts.append_executor = &append_pipeline;
-  sstree::TreeBuilder builder(env_, fname, bopts);
-  Status s = builder.Open();
-  if (!s.ok()) {
-    progress2_.active.store(false);
-    return s;
-  }
-
-  std::vector<std::unique_ptr<InternalIterator>> children;
-  children.push_back(
+  std::vector<std::unique_ptr<InternalIterator>> inputs;
+  inputs.push_back(
       NewTreeComponentIterator(input_c1p->reader.get(), /*sequential=*/true));
   if (old_c2 != nullptr) {
-    children.push_back(
+    inputs.push_back(
         NewTreeComponentIterator(old_c2->reader.get(), /*sequential=*/true));
   }
-  MergingIterator merged(std::move(children));
-  merged.SeekToFirst();
-
-  uint64_t consumed = 0;
-  size_t since_check = 0;
-  std::string out_ikey;
-  while (merged.Valid()) {
-    GroupResult group;
-    s = CollapseGroup(&merged, merge_op_.get(), /*bottom=*/true, &consumed,
-                      &group);
-    if (!s.ok()) break;
-    progress2_.bytes_read.store(
-        std::min(consumed, progress2_.input_total.load()));
-    if (group.emit) {
-      out_ikey.clear();
-      AppendInternalKey(&out_ikey, group.user_key, group.seq, group.type);
-      s = builder.Add(out_ikey, group.value);
-      if (!s.ok()) break;
-    }
-    if (++since_check >= options_.merge_batch_entries) {
-      since_check = 0;
-      if (!MergePauseWait(2)) {
-        builder.Abandon();
-        env_->RemoveFile(fname).IgnoreError(
-            "partial merge output; orphan scavenge reclaims it");
-        progress2_.active.store(false);
-        return Status::OK();
-      }
-    }
-  }
-  if (s.ok()) s = merged.status();
-  if (!s.ok()) {
-    builder.Abandon();
-    env_->RemoveFile(fname).IgnoreError(
-        "failed merge output; orphan scavenge reclaims it");
+  RunWriteResult out;
+  Status s = WriteMergeRun(2, std::move(inputs), &out);
+  if (!s.ok() || out.abandoned) {  // abandoned: shutdown
     progress2_.active.store(false);
     return s;
   }
 
-  s = builder.Finish();
-  if (!s.ok()) {
-    env_->RemoveFile(fname).IgnoreError(
-        "failed merge output; orphan scavenge reclaims it");
-    progress2_.active.store(false);
-    return s;
-  }
-  stats_.merge2_bytes_out.fetch_add(builder.file_size(),
-                                    std::memory_order_relaxed);
-
-  ComponentPtr fresh;
-  s = OpenComponent(file_number, &fresh, options_.use_bloom);
-  if (!s.ok()) {
-    env_->RemoveFile(fname).IgnoreError(
-        "failed merge output; orphan scavenge reclaims it");
-    progress2_.active.store(false);
-    return s;
-  }
-
-  Manifest manifest;
+  std::string manifest;
   uint64_t manifest_version;
   {
     util::MutexLock l(&mu_);
-    c2_ = fresh;
+    // Empty when every key collapsed away (tombstones at the bottom).
+    c2_ = out.runs.empty() ? nullptr : out.runs[0];
     c1_prime_.reset();
     // C1' and the old C2 are fully contained in the new C2; views pinned
     // before this store keep the replaced files alive (and readable) until
@@ -758,7 +613,8 @@ Status BlsmTree::RunMerge2Pass() {
     PublishView();
     manifest = BuildManifestLocked(&manifest_version);
   }
-  s = SaveManifest(manifest, manifest_version);
+  s = manifest_writer_.Save(env_, Manifest::FileName(dir_), manifest,
+                            manifest_version);
   if (!s.ok()) {
     progress2_.active.store(false);
     return s;
@@ -772,36 +628,24 @@ Status BlsmTree::RunMerge2Pass() {
   return Status::OK();
 }
 
-Manifest BlsmTree::BuildManifestLocked(uint64_t* version) {
+std::string BlsmTree::BuildManifestLocked(uint64_t* version) {
   Manifest manifest;
   manifest.next_file_number = next_file_number_;
   manifest.last_sequence = frontend_->LastSequence();
   if (c1_ != nullptr) {
-    manifest.components.push_back(
-        {Manifest::Slot::kC1, c1_->file_number});
+    manifest.components.push_back({Manifest::Slot::kC1, c1_->number});
   }
   if (c1_prime_ != nullptr) {
     manifest.components.push_back(
-        {Manifest::Slot::kC1Prime, c1_prime_->file_number});
+        {Manifest::Slot::kC1Prime, c1_prime_->number});
   }
   if (c2_ != nullptr) {
-    manifest.components.push_back(
-        {Manifest::Slot::kC2, c2_->file_number});
+    manifest.components.push_back({Manifest::Slot::kC2, c2_->number});
   }
   *version = ++manifest_build_version_;
-  return manifest;
-}
-
-Status BlsmTree::SaveManifest(const Manifest& manifest, uint64_t version) {
-  util::MutexLock l(&manifest_io_mu_);
-  if (version <= manifest_written_version_) {
-    // A newer snapshot has already been written (the other merge thread
-    // installed after us but reached the file first).
-    return Status::OK();
-  }
-  Status s = manifest.Save(env_, dir_);
-  if (s.ok()) manifest_written_version_ = version;
-  return s;
+  std::string body;
+  manifest.EncodeTo(&body);
+  return body;
 }
 
 // --- maintenance entry points -------------------------------------------------

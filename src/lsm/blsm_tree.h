@@ -20,8 +20,8 @@
 #include "lsm/merge_scheduler.h"
 #include "lsm/read_path.h"
 #include "lsm/record.h"
+#include "lsm/run_writer.h"
 #include "memtable/memtable.h"
-#include "sstree/tree_reader.h"
 #include "util/atomic_shared_ptr.h"
 #include "util/mutex.h"
 #include "util/status.h"
@@ -220,27 +220,6 @@ class BlsmTree {
   Status BackgroundError() const;
 
  private:
-  // An immutable on-disk component; unlinks its file when the last reference
-  // drops after obsolescence (readers may outlive the merge that replaced
-  // it).
-  struct Component {
-    Env* env = nullptr;
-    std::string fname;
-    uint64_t file_number = 0;
-    std::unique_ptr<sstree::TreeReader> reader;
-    std::atomic<bool> obsolete{false};
-
-    ~Component() {
-      if (obsolete.load()) {
-        // The manifest that dropped this file is already durable; a failed
-        // unlink only leaks disk until the next orphan scavenge at Open.
-        env->RemoveFile(fname).IgnoreError(
-            "orphan scavenge reclaims the file on next open");
-      }
-    }
-  };
-  using ComponentPtr = std::shared_ptr<Component>;
-
   struct MergeProgress {
     std::atomic<bool> active{false};
     std::atomic<uint64_t> bytes_read{0};
@@ -258,8 +237,6 @@ class BlsmTree {
   BlsmTree(const BlsmOptions& options, std::string dir);
 
   Status OpenImpl() EXCLUDES(mu_);
-  Status OpenComponent(uint64_t file_number, ComponentPtr* out,
-                       bool with_bloom_expected) const;
 
   // The read side of the RCU pair: PinView is the entire hot-path cost
   // (one atomic load + one refcount bump, no mutex); PublishView rebuilds
@@ -274,6 +251,9 @@ class BlsmTree {
   void ApplyBackpressure();
 
   double CurrentR() const REQUIRES(mu_);
+  // The C0 fill that starts a C0:C1 merge (low watermark under snowshovel,
+  // else a frozen C0' or a full C0).
+  bool C0Full() const;
   void MaybeScheduleMerge1();
 
   // Background passes, run by the engine::BackgroundRunner jobs "merge1"
@@ -286,19 +266,22 @@ class BlsmTree {
   // Waits while the scheduler pauses the given merge; returns false on
   // shutdown.
   bool MergePauseWait(int which);
+  // Merge `which` (1 or 2) collapses `inputs` into one component through
+  // the shared run writer, paced by MergePauseWait(which) and publishing
+  // its progress for the scheduler.
+  Status WriteMergeRun(int which,
+                       std::vector<std::unique_ptr<InternalIterator>> inputs,
+                       RunWriteResult* result) EXCLUDES(mu_);
 
-  // Manifest writes happen OUTSIDE mu_ (an fsync under mu_ would stall every
-  // writer): the tree state is snapshotted under mu_ with a version number,
-  // and writes are serialized/deduplicated under manifest_io_mu_.
-  Manifest BuildManifestLocked(uint64_t* version) REQUIRES(mu_);
-  Status SaveManifest(const Manifest& manifest, uint64_t version)
-      EXCLUDES(manifest_io_mu_);
+  // The manifest is snapshotted under mu_ with a version number and
+  // written outside it through manifest_writer_.
+  std::string BuildManifestLocked(uint64_t* version) REQUIRES(mu_);
 
   BlsmOptions options_;
   std::string dir_;
   // Wraps the user Env with the shared IoRateLimiter when one is
   // configured. Declared before every component/view member so it outlives
-  // the Component destructors that unlink files through env_.
+  // the Run destructors that unlink files through env_.
   std::unique_ptr<Env> rate_limited_env_;
   // Feedback loop over the shared limiter (adaptive_merge_rate); fed at the
   // scheduler checkpoints, which already compute the C0 fill it needs.
@@ -315,9 +298,9 @@ class BlsmTree {
   std::unique_ptr<engine::BackgroundRunner> runner_;
 
   mutable util::Mutex mu_{util::lock_rank::kBlsmTreeMu};
-  ComponentPtr c1_ GUARDED_BY(mu_);
-  ComponentPtr c1_prime_ GUARDED_BY(mu_);
-  ComponentPtr c2_ GUARDED_BY(mu_);
+  RunPtr c1_ GUARDED_BY(mu_);
+  RunPtr c1_prime_ GUARDED_BY(mu_);
+  RunPtr c2_ GUARDED_BY(mu_);
   // The memtable whose consumed entries the last C0:C1 install put in C1,
   // until it leaves the memtable pair (the snowshovel C0 at its truncation,
   // C0' at its drop); views hide those entries so each record is readable
@@ -343,11 +326,7 @@ class BlsmTree {
   MergeProgress progress2_;
 
   uint64_t manifest_build_version_ GUARDED_BY(mu_) = 0;
-  // analyze:allow(blocking-under-lock) manifest_io_mu_ serializes and
-  // deduplicates manifest fsyncs outside mu_; the write happening under it
-  // is its whole purpose and never stalls foreground writers.
-  util::Mutex manifest_io_mu_{util::lock_rank::kBlsmTreeManifestIoMu};
-  uint64_t manifest_written_version_ GUARDED_BY(manifest_io_mu_) = 0;
+  ManifestWriter manifest_writer_;
 
   // Stalled writers sleep here; PublishView signals it on every structural
   // change.

@@ -10,35 +10,18 @@
 // saturating writers see throughput collapses and pauses (Figure 7 right).
 
 #include <algorithm>
-#include <chrono>
 
-#include "lsm/collapse.h"
 #include "lsm/merge_iterator.h"
 #include "multilevel/multilevel_tree.h"
-#include "sstree/tree_builder.h"
 
 namespace blsm::multilevel {
 
 namespace {
 
-std::string TreeFileName(const std::string& dir, uint64_t number) {
-  char buf[32];
-  snprintf(buf, sizeof(buf), "/%06llu.run",
-           static_cast<unsigned long long>(number));
-  return dir + buf;
-}
-
-std::string ManifestName(const std::string& dir) { return dir + "/CURRENT"; }
-
 // Sort key for non-overlapping levels.
-bool BySmallest(const FileMetaPtr& a, const FileMetaPtr& b) {
+bool BySmallest(const RunPtr& a, const RunPtr& b) {
   return Slice(a->smallest) < Slice(b->smallest);
 }
-
-// Tiered outputs are written as one run regardless of size (run == file,
-// stacked newest first like L0); the same cap keeps a memtable flush to one
-// L0 run.
-constexpr size_t kSingleRunCap = ~size_t{0} >> 1;
 
 }  // namespace
 
@@ -59,18 +42,6 @@ std::string MultilevelTree::BuildManifestLocked(uint64_t* version) {
   }
   *version = ++manifest_build_version_;
   return EncodeManifest(data);
-}
-
-Status MultilevelTree::SaveManifest(const std::string& body,
-                                    uint64_t version) {
-  util::MutexLock l(&manifest_io_mu_);
-  if (version <= manifest_written_version_) return Status::OK();
-  std::string tmp = dir_ + "/CURRENT.tmp";
-  Status s = WriteStringToFile(env_, body, tmp, /*sync=*/true);
-  if (!s.ok()) return s;
-  s = env_->RenameFile(tmp, ManifestName(dir_));
-  if (s.ok()) manifest_written_version_ = version;
-  return s;
 }
 
 // Snapshot everything a pick depends on. The policy never sees the version
@@ -118,217 +89,38 @@ Status MultilevelTree::RunCompactionPass() {
   return ExecutePick(*pick);
 }
 
-Status MultilevelTree::WriteOutputFiles(InternalIterator* input,
-                                        int output_level, bool bottom,
-                                        size_t file_bytes_cap,
-                                        std::vector<FileMetaPtr>* outputs) {
-  outputs->clear();
-  // Partitioned merges cut many independent output files — those builds can
-  // proceed concurrently. Single-run outputs (flushes, tiered and
-  // whole-level movement under kSingleRunCap) have exactly one file and
-  // stay on the serial streaming path below.
-  if (options_.compaction_builder_threads > 1 &&
-      file_bytes_cap < kSingleRunCap) {
-    return WriteOutputFilesParallel(input, output_level, bottom,
-                                    file_bytes_cap,
-                                    options_.compaction_builder_threads,
-                                    outputs);
-  }
-  std::unique_ptr<sstree::TreeBuilder> builder;
-  uint64_t current_number = 0;
-  std::string first_key, last_key;
-  uint64_t consumed = 0;
-  std::string out_ikey;
-
-  auto open_builder = [&]() -> Status {
-    {
-      util::MutexLock l(&mu_);
-      current_number = next_file_number_++;
-    }
-    sstree::TreeBuilderOptions bopts;
-    bopts.block_size = options_.block_size;
-    bopts.bloom_bits_per_key = options_.bloom_bits_per_key;
-    bopts.build_bloom = options_.use_bloom;
-    builder = std::make_unique<sstree::TreeBuilder>(
-        env_, TreeFileName(dir_, current_number), bopts);
-    first_key.clear();
-    return builder->Open();
+Status MultilevelTree::WriteLevelRuns(
+    std::vector<std::unique_ptr<InternalIterator>> inputs, int output_level,
+    bool bottom, size_t file_bytes_cap, std::vector<RunPtr>* outputs) {
+  RunWriterOptions w;
+  w.env = env_;
+  w.cache = cache_.get();
+  w.new_file_number = [this] {
+    util::MutexLock l(&mu_);
+    return next_file_number_++;
   };
-
-  auto close_builder = [&]() -> Status {
-    Status s = builder->Finish();
-    if (!s.ok()) return s;
-    FileMetaPtr meta;
-    s = NewFileMeta(current_number, &meta);
-    if (!s.ok()) return s;
-    meta->smallest = first_key;
-    meta->largest = last_key;
-    outputs->push_back(std::move(meta));
-    builder.reset();
-    return Status::OK();
-  };
-
-  Status s;
-  while (input->Valid()) {
-    GroupResult group;
-    s = CollapseGroup(input, merge_op_.get(), bottom, &consumed, &group);
-    if (!s.ok()) break;
-    if (!group.emit) continue;
-    if (builder == nullptr) {
-      s = open_builder();
-      if (!s.ok()) break;
-    }
-    out_ikey.clear();
-    AppendInternalKey(&out_ikey, group.user_key, group.seq, group.type);
-    s = builder->Add(out_ikey, group.value);
-    if (!s.ok()) break;
-    if (first_key.empty()) first_key = group.user_key;
-    last_key = group.user_key;
-    if (builder->file_size() >= file_bytes_cap) {
-      s = close_builder();
-      if (!s.ok()) break;
-    }
-    if (runner_->shutting_down()) {
-      s = Status::Busy("shutdown during compaction");
-      break;
-    }
-  }
-  if (s.ok()) s = input->status();
-  if (s.ok() && builder != nullptr && builder->num_entries() > 0) {
-    s = close_builder();
-  } else if (builder != nullptr) {
-    builder->Abandon();
-    env_->RemoveFile(TreeFileName(dir_, current_number))
-        .IgnoreError("partial compaction output; orphan scavenge reclaims it");
-  }
-  if (!s.ok()) {
-    // Clean up any outputs we already finished.
-    for (auto& meta : *outputs) meta->obsolete.store(true);
-    outputs->clear();
-  }
-  stats_.compaction_bytes.fetch_add(consumed, std::memory_order_relaxed);
-  // Per-level write amplification: charge the bytes that actually landed.
+  w.file_name = [this](uint64_t number) { return RunFileName(dir_, number); };
+  w.block_size = options_.block_size;
+  w.bloom_bits_per_key = options_.bloom_bits_per_key;
+  w.build_bloom = options_.use_bloom;
+  w.merge_op = merge_op_.get();
+  w.bottom = bottom;
+  w.file_bytes_cap = file_bytes_cap;
+  w.builder_threads = options_.compaction_builder_threads;
+  w.yield = [this] { return !runner_->shutting_down(); };
+  RunWriteResult out;
+  Status s = WriteRuns(w, std::move(inputs), &out);
+  if (s.ok() && out.abandoned) s = Status::Busy("shutdown during compaction");
+  stats_.compaction_bytes.fetch_add(out.bytes_consumed,
+                                    std::memory_order_relaxed);
+  // Per-level write amplification: charge the data bytes that landed.
   uint64_t written = 0;
-  for (const auto& meta : *outputs) written += meta->data_bytes;
+  for (const RunPtr& run : out.runs) written += run->data_bytes;
   stats_.level_write_bytes[output_level].fetch_add(written,
                                                    std::memory_order_relaxed);
-  return s;
-}
-
-Status MultilevelTree::WriteOutputFilesParallel(
-    InternalIterator* input, int output_level, bool bottom,
-    size_t file_bytes_cap, int threads, std::vector<FileMetaPtr>* outputs) {
-  // The merge loop only collapses records and partitions them into per-file
-  // batches; each completed batch is handed to the pipeline, which builds
-  // the file (open/add/Finish/NewFileMeta) on a worker while the loop fills
-  // the next batch. Submit's backpressure bounds memory at roughly
-  // (threads + 1) batches. Pipeline workers inherit this pass's
-  // ScopedIoPriority tag, so a shared IoRateLimiter keeps metering every
-  // byte these builders append.
-  struct Batch {
-    uint64_t number = 0;
-    size_t index = 0;
-    std::vector<std::pair<std::string, std::string>> records;  // ikey, value
-    std::string first_key, last_key;  // user keys
-    size_t bytes = 0;
-  };
-
-  engine::TaskPipeline pipeline(threads);
-  util::Mutex slots_mu;
-  std::vector<std::pair<size_t, FileMetaPtr>> slots;
-
-  auto build_file = [this, output_level, &slots_mu,
-                     &slots](const std::shared_ptr<Batch>& b) -> Status {
-    (void)output_level;
-    sstree::TreeBuilderOptions bopts;
-    bopts.block_size = options_.block_size;
-    bopts.bloom_bits_per_key = options_.bloom_bits_per_key;
-    bopts.build_bloom = options_.use_bloom;
-    sstree::TreeBuilder builder(env_, TreeFileName(dir_, b->number), bopts);
-    Status s = builder.Open();
-    for (size_t i = 0; s.ok() && i < b->records.size(); i++) {
-      s = builder.Add(b->records[i].first, b->records[i].second);
-    }
-    if (s.ok()) s = builder.Finish();
-    if (!s.ok()) {
-      builder.Abandon();
-      env_->RemoveFile(TreeFileName(dir_, b->number))
-          .IgnoreError("partial output; orphan scavenge reclaims it");
-      return s;
-    }
-    FileMetaPtr meta;
-    s = NewFileMeta(b->number, &meta);
-    if (!s.ok()) return s;
-    meta->smallest = b->first_key;
-    meta->largest = b->last_key;
-    stats_.parallel_output_builds.fetch_add(1, std::memory_order_relaxed);
-    util::MutexLock l(&slots_mu);
-    slots.emplace_back(b->index, std::move(meta));
-    return Status::OK();
-  };
-
-  auto batch = std::make_shared<Batch>();
-  size_t next_index = 0;
-  uint64_t consumed = 0;
-  std::string out_ikey;
-  Status s;
-
-  auto submit_batch = [&]() -> Status {
-    auto full = std::move(batch);
-    batch = std::make_shared<Batch>();
-    {
-      // Numbers are claimed here, in stream order, so file numbering is
-      // identical to the serial path no matter how builds interleave.
-      util::MutexLock l(&mu_);
-      full->number = next_file_number_++;
-    }
-    full->index = next_index++;
-    return pipeline.Submit([build_file, full] { return build_file(full); });
-  };
-
-  while (input->Valid()) {
-    GroupResult group;
-    s = CollapseGroup(input, merge_op_.get(), bottom, &consumed, &group);
-    if (!s.ok()) break;
-    if (!group.emit) continue;
-    out_ikey.clear();
-    AppendInternalKey(&out_ikey, group.user_key, group.seq, group.type);
-    if (batch->records.empty()) batch->first_key = group.user_key;
-    batch->last_key = group.user_key;
-    batch->bytes += out_ikey.size() + group.value.size();
-    batch->records.emplace_back(out_ikey, std::move(group.value));
-    if (batch->bytes >= file_bytes_cap) {
-      s = submit_batch();
-      if (!s.ok()) break;
-    }
-    if (runner_->shutting_down()) {
-      s = Status::Busy("shutdown during compaction");
-      break;
-    }
-  }
-  if (s.ok()) s = input->status();
-  if (s.ok() && !batch->records.empty()) s = submit_batch();
-  Status drain = pipeline.Drain();
-  if (s.ok()) s = drain;
-
-  {
-    util::MutexLock l(&slots_mu);
-    std::sort(slots.begin(), slots.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (auto& [index, meta] : slots) {
-      (void)index;
-      outputs->push_back(std::move(meta));
-    }
-  }
-  if (!s.ok()) {
-    for (auto& meta : *outputs) meta->obsolete.store(true);
-    outputs->clear();
-  }
-  stats_.compaction_bytes.fetch_add(consumed, std::memory_order_relaxed);
-  uint64_t written = 0;
-  for (const auto& meta : *outputs) written += meta->data_bytes;
-  stats_.level_write_bytes[output_level].fetch_add(written,
-                                                   std::memory_order_relaxed);
+  stats_.parallel_output_builds.fetch_add(out.parallel_builds,
+                                          std::memory_order_relaxed);
+  *outputs = std::move(out.runs);
   return s;
 }
 
@@ -337,15 +129,13 @@ Status MultilevelTree::FlushMemtable(std::shared_ptr<MemTable> imm) {
   // IoRateLimiter serves memtable-flush writes at the highest priority —
   // a starved flush stalls every writer on the tree.
   engine::ScopedIoPriority io_tag(engine::IoPriority::kFlush);
-  std::vector<std::unique_ptr<InternalIterator>> children;
-  children.push_back(NewMemTableIterator(imm));
-  MergingIterator merged(std::move(children));
-  merged.SeekToFirst();
+  std::vector<std::unique_ptr<InternalIterator>> inputs;
+  inputs.push_back(NewMemTableIterator(imm));
 
   // L0 runs are whole memtable dumps: one run per flush.
-  std::vector<FileMetaPtr> outputs;
-  Status s = WriteOutputFiles(&merged, /*output_level=*/0, /*bottom=*/false,
-                              kSingleRunCap, &outputs);
+  std::vector<RunPtr> outputs;
+  Status s = WriteLevelRuns(std::move(inputs), /*output_level=*/0,
+                            /*bottom=*/false, /*file_bytes_cap=*/0, &outputs);
   if (!s.ok()) return s;
 
   std::string manifest;
@@ -370,7 +160,8 @@ Status MultilevelTree::FlushMemtable(std::shared_ptr<MemTable> imm) {
   // published: the drop republishes (via on_memtable_change), so a reader
   // finds each record in exactly one place throughout.
   frontend_->DropFrozen();
-  s = SaveManifest(manifest, manifest_version);
+  s = manifest_writer_.Save(env_, ManifestFileName(dir_), manifest,
+                            manifest_version);
   if (!s.ok()) return s;
   return frontend_->TruncateToActive(/*consume=*/false);
 }
@@ -380,7 +171,7 @@ Status MultilevelTree::ExecutePick(const engine::CompactionPick& pick) {
   // overlap set under the lock. Only this single background job mutates the
   // version, so the snapshot the policy saw is still current; a run that
   // vanished anyway just makes the pick a no-op for the runner to retry.
-  std::vector<FileMetaPtr> inputs_this, inputs_next;
+  std::vector<RunPtr> inputs_this, inputs_next;
   std::vector<uint64_t> exclude = pick.input_runs;
   bool bottom;
   {
@@ -420,23 +211,19 @@ Status MultilevelTree::ExecutePick(const engine::CompactionPick& pick) {
                                              exclude);
   }
 
-  std::vector<std::unique_ptr<InternalIterator>> children;
-  for (const auto& f : inputs_this) {
-    children.push_back(
-        NewTreeComponentIterator(f->reader.get(), /*sequential=*/true));
+  std::vector<std::unique_ptr<InternalIterator>> inputs;
+  for (const auto* level : {&inputs_this, &inputs_next}) {
+    for (const RunPtr& f : *level) {
+      inputs.push_back(
+          NewTreeComponentIterator(f->reader.get(), /*sequential=*/true));
+    }
   }
-  for (const auto& f : inputs_next) {
-    children.push_back(
-        NewTreeComponentIterator(f->reader.get(), /*sequential=*/true));
-  }
-  MergingIterator merged(std::move(children));
-  merged.SeekToFirst();
-
-  std::vector<FileMetaPtr> outputs;
-  Status s = WriteOutputFiles(
-      &merged, pick.output_level, bottom,
-      pick.output_overlapping ? kSingleRunCap : options_.file_bytes,
-      &outputs);
+  // Tiered outputs are written as one run regardless of size (run == file,
+  // stacked newest first like L0).
+  std::vector<RunPtr> outputs;
+  Status s = WriteLevelRuns(
+      std::move(inputs), pick.output_level, bottom,
+      pick.output_overlapping ? 0 : options_.file_bytes, &outputs);
   if (!s.ok()) return s;
 
   std::string manifest;
@@ -444,11 +231,11 @@ Status MultilevelTree::ExecutePick(const engine::CompactionPick& pick) {
   {
     util::MutexLock l(&mu_);
     auto fresh = version_->Clone();
-    auto remove = [&](int lvl, const std::vector<FileMetaPtr>& gone) {
+    auto remove = [&](int lvl, const std::vector<RunPtr>& gone) {
       auto& level_files = fresh->levels[lvl];
       level_files.erase(
           std::remove_if(level_files.begin(), level_files.end(),
-                         [&](const FileMetaPtr& f) {
+                         [&](const RunPtr& f) {
                            for (const auto& g : gone) {
                              if (g->number == f->number) return true;
                            }
@@ -493,7 +280,8 @@ Status MultilevelTree::ExecutePick(const engine::CompactionPick& pick) {
     stats_.compactions.fetch_add(1, std::memory_order_relaxed);
     manifest = BuildManifestLocked(&manifest_version);
   }
-  s = SaveManifest(manifest, manifest_version);
+  s = manifest_writer_.Save(env_, ManifestFileName(dir_), manifest,
+                            manifest_version);
   if (!s.ok()) return s;
   // Unlink inputs only once the manifest that drops them is durable.
   for (const auto& f : inputs_this) f->obsolete.store(true);

@@ -1,11 +1,6 @@
 #include "multilevel/multilevel_tree.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cinttypes>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 #include "lsm/merge_iterator.h"
 
@@ -13,13 +8,6 @@ namespace blsm::multilevel {
 
 namespace {
 
-std::string TreeFileName(const std::string& dir, uint64_t number) {
-  char buf[32];
-  snprintf(buf, sizeof(buf), "/%06" PRIu64 ".run", number);
-  return dir + buf;
-}
-
-std::string ManifestName(const std::string& dir) { return dir + "/CURRENT"; }
 std::string LogName(const std::string& dir) { return dir + "/wal.log"; }
 
 // Misconfigured trigger/geometry options fail Open outright instead of
@@ -95,7 +83,7 @@ Status MultilevelTree::OpenImpl() {
   uint64_t manifest_last_seq = 0;
 
   std::string data;
-  s = ReadFileToString(env_, ManifestName(dir_), &data);
+  s = ReadFileToString(env_, ManifestFileName(dir_), &data);
   if (s.ok()) {
     ManifestData m;
     s = DecodeManifest(data, &m);
@@ -129,18 +117,16 @@ Status MultilevelTree::OpenImpl() {
     }
     version_->overlapping[0] = true;
     for (const ManifestFileEntry& entry : m.files) {
-      FileMetaPtr meta;
-      s = NewFileMeta(entry.number, &meta);
+      RunPtr run;
+      s = Run::Open(env_, cache_.get(), entry.number,
+                    RunFileName(dir_, entry.number),
+                    options_.background.paranoid_checks, &run);
       if (!s.ok()) return s;
-      if (options_.background.paranoid_checks) {
-        s = meta->reader->VerifyAllBlocks();
-        if (!s.ok()) return s;
-      }
-      meta->smallest = entry.smallest;
-      meta->largest = entry.largest;
+      run->smallest = entry.smallest;
+      run->largest = entry.largest;
       // In-level order is semantic (newest first on overlapping levels) and
       // the manifest preserves it.
-      version_->levels[entry.level].push_back(std::move(meta));
+      version_->levels[entry.level].push_back(std::move(run));
     }
   } else if (!s.IsNotFound()) {
     return s;
@@ -148,23 +134,15 @@ Status MultilevelTree::OpenImpl() {
   policy_ = engine::MakeCompactionPolicy(options_.compaction);
 
   // Delete unreferenced runs (in-flight compactions at crash time).
-  VersionPtr loaded = CurrentVersion();
-  std::vector<std::string> children;
-  if (!options_.read_only && env_->GetChildren(dir_, &children).ok()) {
-    for (const std::string& name : children) {
-      if (name.size() > 4 && name.substr(name.size() - 4) == ".run") {
-        uint64_t num = strtoull(name.c_str(), nullptr, 10);
-        bool referenced = false;
-        for (int l = 0; l < kNumLevels; l++) {
-          for (const auto& f : loaded->levels[l]) {
-            if (f->number == num) referenced = true;
-          }
-        }
-        if (!referenced && env_->RemoveFile(dir_ + "/" + name).ok()) {
-          stats_.orphans_scavenged.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
+  if (!options_.read_only) {
+    VersionPtr loaded = CurrentVersion();
+    std::vector<uint64_t> live;
+    for (const auto& level : loaded->levels) {
+      for (const RunPtr& f : level) live.push_back(f->number);
     }
+    stats_.orphans_scavenged.fetch_add(
+        RemoveOrphanRuns(env_, dir_, ".run", live),
+        std::memory_order_relaxed);
   }
 
   runner_ =
@@ -223,19 +201,6 @@ Status MultilevelTree::OpenImpl() {
   return Status::OK();
 }
 
-Status MultilevelTree::NewFileMeta(uint64_t number, FileMetaPtr* out) {
-  auto meta = std::make_shared<FileMeta>();
-  meta->env = env_;
-  meta->number = number;
-  meta->fname = TreeFileName(dir_, number);
-  Status s = sstree::TreeReader::Open(env_, cache_.get(), number, meta->fname,
-                                      &meta->reader);
-  if (!s.ok()) return s;
-  meta->data_bytes = meta->reader->data_bytes();
-  *out = std::move(meta);
-  return Status::OK();
-}
-
 MultilevelTree::~MultilevelTree() {
   if (runner_ != nullptr) runner_->Stop();
   if (frontend_ != nullptr) {
@@ -273,7 +238,7 @@ void MultilevelTree::PublishView() {
     if (version_->levels[l].empty()) continue;
     ReadLevel level;
     level.sorted = !version_->overlapping[l];
-    for (const FileMetaPtr& f : version_->levels[l]) {
+    for (const RunPtr& f : version_->levels[l]) {
       level.runs.push_back({f->reader.get(), /*bounded=*/true, f->smallest,
                             f->largest, options_.use_bloom, f});
     }

@@ -241,24 +241,15 @@ class MultilevelTree {
   // installs the outputs under the pick's data-movement mode (leveled
   // replace vs tiered stack), and persists the manifest.
   Status ExecutePick(const engine::CompactionPick& pick) EXCLUDES(mu_);
-  // Writes the sorted stream from `input` into output files of at most
-  // `file_bytes_cap` bytes at `output_level`; `bottom` enables tombstone
-  // dropping.
-  // The multi-builder variant of WriteOutputFiles: partitions the record
-  // stream into per-file batches and builds the files on a TaskPipeline.
-  Status WriteOutputFilesParallel(InternalIterator* input, int output_level,
-                                  bool bottom, size_t file_bytes_cap,
-                                  int threads,
-                                  std::vector<FileMetaPtr>* outputs)
-      EXCLUDES(mu_);
-  Status WriteOutputFiles(InternalIterator* input, int output_level,
-                          bool bottom, size_t file_bytes_cap,
-                          std::vector<FileMetaPtr>* outputs) EXCLUDES(mu_);
-  Status NewFileMeta(uint64_t number, FileMetaPtr* out);
-  // Snapshot the manifest contents under mu_; write (fsync) outside it.
+  // Collapses `inputs` (newest first) into runs for `output_level` through
+  // the shared run writer, cut at `file_bytes_cap` (0: one run); `bottom`
+  // enables tombstone dropping. Charges the compaction byte stats.
+  Status WriteLevelRuns(std::vector<std::unique_ptr<InternalIterator>> inputs,
+                        int output_level, bool bottom, size_t file_bytes_cap,
+                        std::vector<RunPtr>* outputs) EXCLUDES(mu_);
+  // Snapshot the manifest contents under mu_; write (fsync) outside it
+  // through manifest_writer_.
   std::string BuildManifestLocked(uint64_t* version) REQUIRES(mu_);
-  Status SaveManifest(const std::string& body, uint64_t version)
-      EXCLUDES(manifest_io_mu_);
 
   VersionPtr CurrentVersion() const EXCLUDES(mu_);
 
@@ -269,7 +260,7 @@ class MultilevelTree {
   std::unique_ptr<engine::CompactionPolicy> policy_;
   // Wraps the user Env with the shared IoRateLimiter when one is
   // configured. Declared before every file-owning member so it outlives the
-  // FileMeta destructors that unlink runs through env_.
+  // Run destructors that unlink files through env_.
   std::unique_ptr<Env> rate_limited_env_;
   Env* env_ = nullptr;
   std::shared_ptr<BlockCache> cache_;
@@ -294,11 +285,7 @@ class MultilevelTree {
   // Round-robin compaction cursors (LevelDB's partition scheduler state).
   std::string compact_cursor_[kNumLevels] GUARDED_BY(mu_);
   uint64_t manifest_build_version_ GUARDED_BY(mu_) = 0;
-  // analyze:allow(blocking-under-lock) manifest_io_mu_ serializes and
-  // deduplicates manifest fsyncs outside mu_; the write happening under it
-  // is its whole purpose and never stalls foreground writers.
-  util::Mutex manifest_io_mu_{util::lock_rank::kMultilevelTreeManifestIoMu};
-  uint64_t manifest_written_version_ GUARDED_BY(manifest_io_mu_) = 0;
+  ManifestWriter manifest_writer_;
 
   // Stalled writers sleep here; PublishView signals it on every structural
   // change.

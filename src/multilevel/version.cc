@@ -1,11 +1,23 @@
 #include "multilevel/version.h"
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
 
 #include "util/coding.h"
 #include "util/crc32c.h"
 
 namespace blsm::multilevel {
+
+std::string RunFileName(const std::string& dir, uint64_t number) {
+  char buf[32];
+  snprintf(buf, sizeof(buf), "/%06" PRIu64 ".run", number);
+  return dir + buf;
+}
+
+std::string ManifestFileName(const std::string& dir) {
+  return dir + "/CURRENT";
+}
 
 uint64_t Version::LevelBytes(int level) const {
   uint64_t total = 0;
@@ -19,9 +31,9 @@ int Version::NumFiles() const {
   return n;
 }
 
-std::vector<FileMetaPtr> Version::Overlapping(int level, const Slice& begin,
-                                              const Slice& end) const {
-  std::vector<FileMetaPtr> result;
+std::vector<RunPtr> Version::Overlapping(int level, const Slice& begin,
+                                         const Slice& end) const {
+  std::vector<RunPtr> result;
   for (const auto& f : levels[level]) {
     if (Slice(f->largest).compare(begin) < 0) continue;
     if (Slice(f->smallest).compare(end) > 0) continue;

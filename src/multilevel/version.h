@@ -1,41 +1,20 @@
 #ifndef BLSM_MULTILEVEL_VERSION_H_
 #define BLSM_MULTILEVEL_VERSION_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "io/env.h"
-#include "sstree/tree_reader.h"
+#include "lsm/run_writer.h"
 
 namespace blsm::multilevel {
 
 constexpr int kNumLevels = 7;
 
-// One immutable on-disk file (run). Shares the component-deletion idiom with
-// the bLSM core: the file is unlinked when the last reference to an obsolete
-// FileMeta drops.
-struct FileMeta {
-  Env* env = nullptr;
-  std::string fname;
-  uint64_t number = 0;
-  std::string smallest;  // user keys
-  std::string largest;
-  uint64_t data_bytes = 0;
-  std::unique_ptr<sstree::TreeReader> reader;
-  std::atomic<bool> obsolete{false};
-
-  ~FileMeta() {
-    if (obsolete.load()) {
-      // The manifest that dropped this run is already durable; a failed
-      // unlink only leaks disk until the next orphan scavenge at Open.
-      env->RemoveFile(fname).IgnoreError(
-          "orphan scavenge reclaims the file on next open");
-    }
-  }
-};
-using FileMetaPtr = std::shared_ptr<FileMeta>;
+// Where a multilevel tree keeps its runs (<dir>/<number>.run) and its
+// manifest (<dir>/CURRENT).
+std::string RunFileName(const std::string& dir, uint64_t number);
+std::string ManifestFileName(const std::string& dir);
 
 // Immutable snapshot of the file layout (copy-on-write, LevelDB style).
 // Level 0 always holds whole memtable dumps — files may overlap and are
@@ -46,7 +25,7 @@ using FileMetaPtr = std::shared_ptr<FileMeta>;
 // The flags are part of the version (cloned with it) and round-trip through
 // the manifest, so recovery restores tiered levels exactly.
 struct Version {
-  std::vector<FileMetaPtr> levels[kNumLevels];
+  std::vector<RunPtr> levels[kNumLevels];
   bool overlapping[kNumLevels] = {true, false, false, false,
                                   false, false, false};
 
@@ -55,8 +34,8 @@ struct Version {
 
   // Files in `level` whose range intersects [begin, end] (user keys); valid
   // for both layouts (pure range test, no sortedness assumption).
-  std::vector<FileMetaPtr> Overlapping(int level, const Slice& begin,
-                                       const Slice& end) const;
+  std::vector<RunPtr> Overlapping(int level, const Slice& begin,
+                                  const Slice& end) const;
 
   // True if no file below `level` intersects [begin, end] — compactions into
   // such a range may drop tombstones.

@@ -90,7 +90,9 @@ TEST_P(BTreePropertyTest, MatchesModelUnderRandomOps) {
         break;
       }
       case 4: {  // checkpoint occasionally
-        if (rnd.OneIn(10)) ASSERT_TRUE(tree->Checkpoint().ok());
+        if (rnd.OneIn(10)) {
+          ASSERT_TRUE(tree->Checkpoint().ok());
+        }
         break;
       }
       default: {  // upsert (majority)

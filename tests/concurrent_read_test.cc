@@ -112,7 +112,9 @@ TEST_P(ConcurrentReadTest, ReadersNeverLoseBaseKeysUnderChurn) {
           Status s = engine->Get(BaseKey(i), &value);
           EXPECT_TRUE(s.ok()) << name << " " << BaseKey(i) << ": "
                               << s.ToString();
-          if (s.ok()) EXPECT_EQ(value, BaseValue(i));
+          if (s.ok()) {
+            EXPECT_EQ(value, BaseValue(i));
+          }
         } else if (roll == 1) {
           // MultiGet mixing base keys (exact) with volatile keys (ok or
           // NotFound, racing the writers) and a duplicate probe.

@@ -85,7 +85,9 @@ TEST_P(MultilevelPropertyTest, MatchesModelUnderRandomOps) {
         break;
       }
       case 4: {
-        if (rnd.OneIn(20)) ASSERT_TRUE(tree->CompactAll().ok());
+        if (rnd.OneIn(20)) {
+          ASSERT_TRUE(tree->CompactAll().ok());
+        }
         break;
       }
       default: {

@@ -115,7 +115,9 @@ TEST_P(RecoveryPropertyTest, AsyncCrashYieldsConsistentPrefix) {
     std::string value = "v" + std::to_string(i);
     ASSERT_TRUE(tree->Put(key, value).ok());
     history[key].push_back(value);
-    if (rnd.OneIn(500)) ASSERT_TRUE(tree->Flush().ok());
+    if (rnd.OneIn(500)) {
+      ASSERT_TRUE(tree->Flush().ok());
+    }
   }
   tree.reset();
   env.DropUnsynced();
